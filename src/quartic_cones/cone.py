@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .covariants import CovariantPair, QuarticCurve, covariants, dual_curve
 from .polycore import (
@@ -22,7 +22,7 @@ from .polycore import (
     rational_sqrt,
     det_fraction,
 )
-from .polyio import PointSource
+from .polyio import point_coordinates
 
 WEIGHTS = {"s": 1, "t": 1, "u": 1, "v": 2, "w": 3}
 COORDS = ("s", "t", "u", "v", "w")
@@ -115,9 +115,6 @@ class WeightedPoint:
             return rational_sqrt(bv / av) is not None
         return rational_cbrt(bw / aw) is not None
 
-    def __hash__(self):  # pragma: no cover - unused, defined for sanity
-        return 0
-
 
 @dataclass(frozen=True)
 class PluckerCounts:
@@ -140,21 +137,16 @@ def cone_equation(pair: CovariantPair) -> ConeEquation:
     return ConeEquation(pair)
 
 
-def _eval_point(cone: ConeEquation, p: WeightedPoint):
-    binding = dict(zip(COORDS, p.coords))
-    return binding
-
-
 def is_singular_point(cone: ConeEquation, p: WeightedPoint) -> bool:
     """True iff F and all five partials vanish at p."""
-    at = _eval_point(cone, p)
+    at = dict(zip(COORDS, p.coords))
     if cone.F.eval_at(at) != 0:
         return False
     return all(cone.partials[name].eval_at(at) == 0 for name in COORDS)
 
 
 def is_on_cone(cone: ConeEquation, p: WeightedPoint) -> bool:
-    return cone.F.eval_at(_eval_point(cone, p)) == 0
+    return cone.F.eval_at(dict(zip(COORDS, p.coords))) == 0
 
 
 def classify_and_lift(pair: CovariantPair, q) -> WeightedPoint:
@@ -164,12 +156,7 @@ def classify_and_lift(pair: CovariantPair, q) -> WeightedPoint:
     g4(q) = g6(q) = 0 and g6 singular at q the lift is [q : 0 : 0].  The
     output is re-certified through is_singular_point.
     """
-    if isinstance(q, PointSource):
-        if q.ambient != "P2":
-            raise ConeError("dual points live in P2")
-        a0, a1, a2 = q.coordinates
-    else:
-        a0, a1, a2 = (Fraction(c) for c in q)
+    a0, a1, a2 = point_coordinates(q, "P2")
     at = {"s": a0, "t": a1, "u": a2}
     G = dual_curve(pair).G
     if G.eval_at(at) != 0 or any(G.partial(vn).eval_at(at) != 0 for vn in ("s", "t", "u")):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .polycore import (
     HomogeneityError,
@@ -28,7 +28,7 @@ from .polycore import (
     coefficients_multi,
     exact_divide,
 )
-from .polyio import PointSource
+from .polyio import point_coordinates
 
 XYZ = ("x", "y", "z")
 STU = ("s", "t", "u")
@@ -182,20 +182,9 @@ def dual_curve(pair: CovariantPair) -> DualCurve:
     return DualCurve(4 * pair.g4 ** 3 - 27 * pair.g6 ** 2)
 
 
-def _point_coords(point) -> Tuple[Fraction, Fraction, Fraction]:
-    if isinstance(point, PointSource):
-        if point.ambient != "P2":
-            raise PolyError("j is evaluated at points of the dual plane (P2)")
-        return point.coordinates
-    coords = tuple(Fraction(c) for c in point)
-    if len(coords) != 3 or all(c == 0 for c in coords):
-        raise PolyError("expected a nonzero triple of rationals")
-    return coords
-
-
 def j_eval(pair: CovariantPair, point) -> Fraction:
     """Exact j-value at a rational dual-plane point, off the dual curve."""
-    s0, t0, u0 = _point_coords(point)
+    s0, t0, u0 = point_coordinates(point, "P2")
     at = {"s": s0, "t": t0, "u": u0}
     g4v = pair.g4.eval_at(at)
     g6v = pair.g6.eval_at(at)

@@ -25,19 +25,23 @@ from .polycore import (
     PolyMatrix,
     clear_denominators,
     coefficients_multi,
+    congruence,
     det_fraction,
     exact_divide,
+    inverse,
     is_perfect_square,
     macaulay_quotient,
     macaulay_resultant_ternary,
+    mat_vec,
     matrix_rank,
     nullspace,
+    random_invertible,
     rational_roots,
     resultant_bivariate,
     to_dense,
     univariate_gcd,
 )
-from .polyio import PointSource
+from .polyio import point_coordinates
 
 # Monomial order for quadric coefficient vectors on P3.
 QUADRIC_MONOMIALS = ((0, 0), (1, 1), (2, 2), (3, 3),
@@ -69,20 +73,9 @@ class CorankTooHigh(OctadError):
     """The net matrix drops rank by two or more at the given point."""
 
 
-def _point4(p) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    if isinstance(p, PointSource):
-        if p.ambient != "P3":
-            raise OctadError("expected a point of P3")
-        return p.coordinates
-    coords = tuple(Fraction(c) for c in p)
-    if len(coords) != 4 or all(c == 0 for c in coords):
-        raise OctadError("expected a nonzero rational 4-vector")
-    return coords
-
-
 def normalize_point(p) -> Tuple[Fraction, ...]:
     """Primitive integer coordinates with positive first nonzero entry."""
-    return tuple(clear_denominators(_point4(p)))
+    return tuple(clear_denominators(point_coordinates(p, "P3")))
 
 
 def points_equal(p, q) -> bool:
@@ -90,13 +83,13 @@ def points_equal(p, q) -> bool:
 
 
 def quadric_eval(matrix, p) -> Fraction:
-    coords = _point4(p)
+    coords = point_coordinates(p, "P3")
     return sum(coords[i] * matrix[i][j] * coords[j]
                for i in range(4) for j in range(4))
 
 
 def quadric_polar(matrix, p, q) -> Fraction:
-    cp, cq = _point4(p), _point4(q)
+    cp, cq = point_coordinates(p, "P3"), point_coordinates(q, "P3")
     return sum(cp[i] * matrix[i][j] * cq[j] for i in range(4) for j in range(4))
 
 
@@ -219,7 +212,7 @@ class CremonaResult:
 
 
 def _quadric_row(p) -> List[Fraction]:
-    c = _point4(p)
+    c = point_coordinates(p, "P3")
     return [c[i] * c[j] for i, j in QUADRIC_MONOMIALS]
 
 
@@ -300,38 +293,6 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
 # Eighth base point
 
 
-def _random_change(rng) -> List[List[Fraction]]:
-    while True:
-        m = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
-        if det_fraction(m) != 0:
-            return m
-
-
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def _mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def _mat_transpose(a):
-    return [list(row) for row in zip(*a)]
-
-
-def _mat_inverse(a):
-    n = len(a)
-    aug = [list(map(Fraction, a[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    from .polycore import rref
-
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise OctadError("matrix not invertible")
-    return [row[n:] for row in reduced]
-
-
 def _hide_first_variable(affine: Poly) -> Poly:
     """Homogenize the (x1, x2) part with h, leaving x0 as a coefficient."""
     terms = {}
@@ -368,19 +329,17 @@ def eighth_point(net: QuadricNet, rng=None, max_attempts: int = 24,
     known = [list(p) for p in net.basepoints[:7]]
 
     for attempt in range(max_attempts):
-        S = [[Fraction(1) if i == j else Fraction(0) for j in range(4)] for i in range(4)] \
-            if attempt == 0 else _random_change(rng)
-        if det_fraction(S) == 0:
-            continue
-        Sinv = _mat_inverse(S)
-        moved = [_mat_vec(Sinv, p) for p in known]
+        S = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)] \
+            if attempt == 0 else random_invertible(4, rng, 4)
+        Sinv = inverse(S)
+        moved = [mat_vec(Sinv, p) for p in known]
         if any(p[3] == 0 for p in moved):
             continue
         moved = [[c / p[3] for c in p] for p in moved]
         a_known = [p[0] for p in moved]
         if len(set(a_known)) != 7:
             continue
-        B = [_mat_mul(_mat_transpose(S), _mat_mul(m, S)) for m in net.matrices]
+        B = [congruence(m, S) for m in net.matrices]
 
         x0, x1, x2 = Poly.var("x0"), Poly.var("x1"), Poly.var("x2")
         coords = [x0, x1, x2, Poly.const(1)]
@@ -416,7 +375,7 @@ def eighth_point(net: QuadricNet, rng=None, max_attempts: int = 24,
         b8, c8 = solution
         if any(q.eval_at({"x1": b8, "x2": c8}) != 0 for q in specialized):
             continue
-        candidate = _mat_vec(S, [a8, b8, c8, Fraction(1)])
+        candidate = mat_vec(S, [a8, b8, c8, Fraction(1)])
         candidate = normalize_point(candidate)
         if any(quadric_eval(m, candidate) != 0 for m in net.matrices):
             continue  # pragma: no cover - the verification above implies this
@@ -437,7 +396,7 @@ def _solve_two_conics(conics: Sequence[Poly]):
         ri = resultant_bivariate(ci, cj, "x2")
         others = [k for k in range(3) if k not in (i, j)]
         ck = conics[others[0]]
-        if ci.degree_in("x2") < 1 or ck.degree_in("x2") < 1:
+        if ck.degree_in("x2") < 1:
             continue
         rk = resultant_bivariate(ci, ck, "x2")
         if ri.is_zero() or rk.is_zero():
@@ -541,10 +500,8 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     cross-ratio of the four singular parameters whenever those are found
     rational.  The two routes must agree.
     """
-    p1 = tuple(Fraction(c) for c in (netpoint1.coordinates if isinstance(netpoint1, PointSource) else netpoint1))
-    p2 = tuple(Fraction(c) for c in (netpoint2.coordinates if isinstance(netpoint2, PointSource) else netpoint2))
-    if len(p1) != 3 or len(p2) != 3:
-        raise OctadError("net points live in the net plane P2")
+    p1 = point_coordinates(netpoint1, "P2")
+    p2 = point_coordinates(netpoint2, "P2")
     if matrix_rank([list(p1), list(p2)]) != 2:
         raise OctadError("net points must be independent")
     M1 = net.matrix_at(p1)
@@ -625,11 +582,11 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
     T = [[cols[j][i] for j in range(4)] for i in range(4)]
     if det_fraction(T) == 0:
         raise OctadError("center points are projectively dependent")
-    Tinv = _mat_inverse(T)
+    Tinv = inverse(T)
 
     # One common scalar across the three generators: per-generator scaling
     # would reparametrize the net plane and spoil exact det preservation.
-    transformed = [_mat_mul(_mat_transpose(T), _mat_mul(m, T)) for m in net.matrices]
+    transformed = [congruence(m, T) for m in net.matrices]
     flat = [v for m in transformed for row in m for v in row]
     cleared = clear_denominators(flat)
     B = [[[cleared[16 * k + 4 * i + j] for j in range(4)] for i in range(4)]
@@ -655,7 +612,7 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
         if label in labels:
             moved_points.append(e_points[label])
             continue
-        q = _mat_vec(Tinv, list(octad.point(label)))
+        q = mat_vec(Tinv, octad.point(label))
         zeros = sum(1 for c in q if c == 0)
         if zeros >= 2:
             raise OctadError(f"point {label} lies on a line through two center points; "
@@ -664,7 +621,7 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
                  q[0] * q[1] * q[3], q[0] * q[1] * q[2]]
         moved_points.append(tuple(image))
 
-    norm_net = QuadricNet(B, basepoints=[_mat_vec(Tinv, list(p)) for p in octad.points])
+    norm_net = QuadricNet(B, basepoints=[mat_vec(Tinv, p) for p in octad.points])
     new_net = QuadricNet(Bp, basepoints=moved_points)
     new_octad = Octad(moved_points, net=new_net)
     det_old = norm_net.symbol_matrix().det()
@@ -713,12 +670,7 @@ def gale_transform(octad: Octad, forms: Optional[Sequence[Sequence[Fraction]]] =
 
 def steinerian_point(net: QuadricNet, q) -> Tuple[Fraction, ...]:
     """Kernel generator of M(q) for q on the Hessian quartic, rank 3."""
-    if isinstance(q, PointSource):
-        if q.ambient != "P2":
-            raise OctadError("expected a point of the net plane P2")
-        coords = q.coordinates
-    else:
-        coords = tuple(Fraction(c) for c in q)
+    coords = point_coordinates(q, "P2")
     m = net.matrix_at(coords)
     if det_fraction(m) != 0:
         raise OctadError(f"{tuple(map(str, coords))} is not on the Hessian quartic")
@@ -739,12 +691,10 @@ def steinerian_point(net: QuadricNet, q) -> Tuple[Fraction, ...]:
 def _frame_map(points: Sequence[Sequence[Fraction]], labels: Sequence[int]):
     """Matrix sending the standard frame to the chosen labeled points."""
     n = len(points[0])
-    basis = [list(points[i]) for i in labels[:n]]
-    M = _mat_transpose(basis)
+    M = [list(col) for col in zip(*(points[i] for i in labels[:n]))]
     if det_fraction(M) == 0:
         return None
-    unit = list(points[labels[n]])
-    coeffs = _mat_vec(_mat_inverse(M), unit)
+    coeffs = mat_vec(inverse(M), points[labels[n]])
     if any(c == 0 for c in coeffs):
         return None
     return [[M[i][j] * coeffs[j] for j in range(n)] for i in range(n)]
@@ -764,11 +714,11 @@ def configs_projectively_equivalent(config1: Sequence, config2: Sequence) -> boo
             if (F1 is None) != (F2 is None):
                 return False
             continue
-        inv1 = _mat_inverse(F1)
-        inv2 = _mat_inverse(F2)
+        inv1 = inverse(F1)
+        inv2 = inverse(F2)
         for p, q in zip(pts1, pts2):
-            a = clear_denominators(_mat_vec(inv1, p))
-            b = clear_denominators(_mat_vec(inv2, q))
+            a = clear_denominators(mat_vec(inv1, p))
+            b = clear_denominators(mat_vec(inv2, q))
             if a != b:
                 return False
         return True

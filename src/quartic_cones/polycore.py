@@ -14,14 +14,18 @@ Besides the polynomial ring the module provides the elimination toolkit
 used by the rest of the package: cofactor and fraction-free (Bareiss)
 determinants of polynomial matrices, Sylvester resultants, the Macaulay
 resultant of three ternary forms, perfect-square detection, and exact
-linear algebra over the rationals (rref, rank, nullspace).
+linear algebra over the rationals: rref, rank, nullspace, determinant,
+inverse, matrix-vector products, the congruence s^T m s that moves a
+quadratic form to new coordinates, and random invertible integer
+matrices for changes of frame.  These matrix helpers are the package's
+only rational linear-algebra layer.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[str, int], ...]
@@ -154,12 +158,6 @@ class Poly:
             raise PolyError(f"not a constant polynomial: {self}")
         return self.terms[()]
 
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
-
     def degree_in(self, var: str) -> int:
         if not self.terms:
             return -1
@@ -171,13 +169,6 @@ class Poly:
             degs.add(sum(weights.get(name, 0) * e for name, e in m))
         return degs
 
-    def is_homogeneous(self, weights: Mapping[str, int] | None = None) -> bool:
-        if not self.terms:
-            return True
-        if weights is None:
-            weights = {v: 1 for v in self.variables}
-        return len(self.weighted_degrees(weights)) == 1
-
     def homogeneous_degree(self, weights: Mapping[str, int] | None = None) -> int:
         if weights is None:
             weights = {v: 1 for v in self.variables}
@@ -185,16 +176,6 @@ class Poly:
         if len(degs) != 1:
             raise HomogeneityError(f"not homogeneous for weights {dict(weights)}")
         return degs.pop()
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
-    def leading(self) -> Tuple[Mono, Fraction]:
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        varlist = sorted(self.variables)
-        mono = max(self.terms, key=lambda m: _mono_key(m, varlist))
-        return mono, self.terms[mono]
 
     # -- ring operations -----------------------------------------------
 
@@ -378,18 +359,6 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return p - q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def exact_divide(p: Poly, d: Poly) -> Poly:
     """Return q with q*d == p exactly, or raise NotDivisibleError.
 
@@ -416,20 +385,12 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
     return Poly(quotient, p.variables | d.variables)
 
 
-def divides(d: Poly, p: Poly) -> bool:
-    try:
-        exact_divide(p, d)
-        return True
-    except NotDivisibleError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Polynomial matrices and determinants
 
 
 class PolyMatrix:
-    """Square grid of Poly entries, optionally flagged symmetric."""
+    """Square grid of Poly entries; ``symmetric=True`` checks that they are symmetric."""
 
     def __init__(self, entries: Sequence[Sequence[Poly]], symmetric: bool = False):
         rows = tuple(tuple(e if isinstance(e, Poly) else Poly.const(e) for e in row)
@@ -444,10 +405,6 @@ class PolyMatrix:
                         raise PolyError(f"symmetric flag set but entry ({i},{j}) != ({j},{i})")
         self.entries = rows
         self.n = n
-        self.symmetric = symmetric
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
 
     def det(self) -> Poly:
         """Exact determinant.
@@ -509,10 +466,6 @@ def _det_bareiss(m) -> Poly:
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def det(matrix: PolyMatrix) -> Poly:
-    return matrix.det()
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +662,6 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly,
         if attempt == 1 and not ideal_spans_critical_degree(forms, vs, (d, d, d)):
             return Fraction(0)
         if rng is None:
-            import random
-
             rng = random.Random(20230901)
         current = _random_linear_change(forms, vs, rng)
     raise MacaulayDegenerateError("Macaulay minor vanished for every coordinate change")
@@ -718,10 +669,7 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly,
 
 def _random_linear_change(forms: Sequence[Poly], vs: Sequence[str], rng):
     n = len(vs)
-    while True:
-        mat = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        if det_fraction(mat) != 0:
-            break
+    mat = random_invertible(n, rng, 5)
     images = {vs[i]: sum((Poly.var(vs[j]) * mat[i][j] for j in range(n)), Poly.zero())
               for i in range(n)}
     return [f.subs(images) for f in forms]
@@ -889,8 +837,6 @@ def rational_roots(p: Poly, var: str) -> Optional[list]:
     coeffs = _dense_trim(to_dense(p, var))
     if not coeffs:
         raise PolyError("zero polynomial has every root")
-    from math import lcm
-
     denlcm = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else coeffs[0].denominator
     ints = [int(c * denlcm) for c in coeffs]
     roots = []
@@ -1004,10 +950,40 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list:
     return basis
 
 
+def inverse(rows: Sequence[Sequence[Fraction]]) -> list:
+    """Inverse of a square rational matrix, read off the rref of [A | I]."""
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = rref(augmented)
+    if pivots != list(range(n)):
+        raise PolyError("matrix is not invertible")
+    return [row[n:] for row in reduced]
+
+
+def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> list:
+    return [sum(a * v for a, v in zip(row, vec)) for row in rows]
+
+
+def congruence(m: Sequence[Sequence[Fraction]], s: Sequence[Sequence[Fraction]]) -> list:
+    """s^T m s for square m and s: the quadratic form m in the coordinates x = s y."""
+    n = len(s)
+    ms = [[sum(m[i][k] * s[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(s[k][i] * ms[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def random_invertible(n: int, rng, bound: int) -> list:
+    """Random n x n matrix with entries in [-bound, bound] and nonzero determinant.
+
+    Entries are drawn row by row; singular draws are discarded whole.
+    """
+    while True:
+        m = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        if det_fraction(m) != 0:
+            return m
+
+
 def clear_denominators(vec: Sequence[Fraction]):
     """Scale to primitive integer entries, first nonzero entry positive."""
-    from math import gcd, lcm
-
     fracs = [Fraction(v) for v in vec]
     denoms = [f.denominator for f in fracs]
     scale = lcm(*denoms) if denoms else 1

@@ -59,10 +59,25 @@ class PointSource:
             raise ValueError(
                 f"{self.ambient} point needs {AMBIENT_SIZES[self.ambient]} "
                 f"coordinates, got {len(self.coordinates)}")
-        if all(c == 0 for c in self.coordinates):
+        coords = tuple(Fraction(c) for c in self.coordinates)
+        if all(c == 0 for c in coords):
             raise ValueError("projective point must have a nonzero coordinate")
-        object.__setattr__(self, "coordinates",
-                           tuple(Fraction(c) for c in self.coordinates))
+        object.__setattr__(self, "coordinates", coords)
+
+
+def point_coordinates(p, ambient: str) -> Tuple[Fraction, ...]:
+    """Rational coordinates of a point of ``ambient``, the package's one point coercion.
+
+    A PointSource must already live in ``ambient``; any other sequence is
+    checked by building a PointSource from it.  Either way a point of the
+    wrong ambient or length, or with no nonzero coordinate, raises
+    ValueError.
+    """
+    if isinstance(p, PointSource):
+        if p.ambient != ambient:
+            raise ValueError(f"expected a point of {ambient}, got a point of {p.ambient}")
+        return p.coordinates
+    return PointSource(tuple(p), ambient).coordinates
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[a-zA-Z][a-zA-Z0-9]*)"
@@ -231,8 +246,3 @@ def parse_points_file(text: str, ambient: str) -> List[PointSource]:
             continue
         points.append(parse_point(line, ambient))
     return points
-
-
-def point_to_strings(p: PointSource | Sequence[Fraction]) -> List[str]:
-    coords = p.coordinates if isinstance(p, PointSource) else p
-    return [str(Fraction(c)) for c in coords]

@@ -117,6 +117,10 @@ def odd_characteristics() -> List[ThetaChar]:
     return [ThetaChar.from_pair(i, j) for i, j in itertools.combinations(range(1, 9), 2)]
 
 
+# The fixed search order of aronhold_enumerate.
+_ODD_MASKS = tuple(c.mask for c in odd_characteristics())
+
+
 def triple_sum(a: ThetaChar, b: ThetaChar, c: ThetaChar) -> ThetaChar:
     """theta_a + theta_b + theta_c - K, as offset addition."""
     for x in (a, b, c):
@@ -181,49 +185,36 @@ def aronhold_enumerate(mode: str = "count", jobs: int = 1):
     """
     if mode not in ("count", "list"):
         raise ThetaError(f"unknown mode {mode!r}")
-    odds = [c.mask for c in odd_characteristics()]
-
-    def extend(chosen: List[int], start: int, sink: List):
-        if len(chosen) == 7:
-            sink.append(tuple(chosen))
-            return
-        for idx in range(start, len(odds)):
-            cand = odds[idx]
-            if _pairwise_ok(chosen, cand):
-                chosen.append(cand)
-                extend(chosen, idx + 1, sink)
-                chosen.pop()
-
+    firsts = range(len(_ODD_MASKS))
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_enumerate_from_first, range(len(odds)))
-        found = [s for chunk in chunks for s in chunk]
+            chunks = pool.map(_enumerate_from_first, firsts)
     else:
-        found: List[Tuple[int, ...]] = []
-        extend([], 0, found)
+        chunks = map(_enumerate_from_first, firsts)
+    found = [s for chunk in chunks for s in chunk]
     if mode == "count":
         return len(found)
     return [AronholdSystem(tuple(ThetaChar(m) for m in masks)) for masks in found]
 
 
 def _enumerate_from_first(first_index: int) -> List[Tuple[int, ...]]:
-    odds = [c.mask for c in odd_characteristics()]
+    """Every system whose first member, in the fixed order, is odd number first_index."""
     found: List[Tuple[int, ...]] = []
 
     def extend(chosen: List[int], start: int):
         if len(chosen) == 7:
             found.append(tuple(chosen))
             return
-        for idx in range(start, len(odds)):
-            cand = odds[idx]
+        for idx in range(start, len(_ODD_MASKS)):
+            cand = _ODD_MASKS[idx]
             if _pairwise_ok(chosen, cand):
                 chosen.append(cand)
                 extend(chosen, idx + 1)
                 chosen.pop()
 
-    extend([odds[first_index]], first_index + 1)
+    extend([_ODD_MASKS[first_index]], first_index + 1)
     return found
 
 

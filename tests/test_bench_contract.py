@@ -1,0 +1,45 @@
+"""The benchmark harness in perfbench/ calls the package by name; keep those names.
+
+perfbench/tracer.py wraps every function listed in its SPANS table and reads
+PolyMatrix.n, and perfbench/run.py and perfbench/baselines.py call the two
+parallel entry points with jobs=2.  These tests only read perfbench/.
+"""
+
+import inspect
+import os
+import types
+
+import pytest
+
+from quartic_cones import octad, polycore, theta
+
+TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "tracer.py")
+
+
+def load_tracer():
+    # exec instead of import, so no bytecode is written into perfbench/
+    module = types.ModuleType("perfbench_tracer")
+    with open(TRACER_PATH) as handle:
+        exec(compile(handle.read(), TRACER_PATH, "exec"), module.__dict__)
+    return module
+
+
+def test_every_spanned_name_exists():
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    try:
+        spans.install()  # a spanned name that is gone raises here
+        x = polycore.Poly.var("x")
+        polycore.PolyMatrix([[x, 1], [1, x]]).det()
+    finally:
+        spans.uninstall()
+    assert not hasattr(octad.det_fraction, "__wrapped__")
+    metrics = spans.metrics()
+    assert metrics["polycore.PolyMatrix.det.calls"][0] == 1
+    assert metrics["polycore.PolyMatrix.det_bareiss.n3_sum"][0] == 8
+
+
+@pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])
+def test_parallel_entry_points_take_jobs(entry):
+    assert "jobs" in inspect.signature(entry).parameters

@@ -114,11 +114,18 @@ class TestOctadCommand:
         assert report["determinant_preserved"] is True
         assert report["hessian_scalar_equal"] is True
         assert report["center_theta_label"] == [1, 2, 3, 4]
+        assert report["new_octad"] == [
+            [str(c) for c in p] for p in
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1],
+             [12, 6, 4, 3], [900, 225, 100, 36], [30, -165, -242, -330]]]
 
     def test_gale(self, capsys, heptad_file):
         report = run_json(capsys, "octad", "gale", heptad_file)
         assert report["checks_pass"] is True
-        assert len(report["projected_points"]) == 7
+        assert report["projected_points"] == [
+            [str(c) for c in p] for p in
+            [[2, 15, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1], [13, 136, 12],
+             [8, 126, 15], [1, 24, 6]]]
 
     def test_wrong_point_count_exit_2(self, capsys, tmp_path):
         path = tmp_path / "short.txt"

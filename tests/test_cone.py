@@ -116,6 +116,12 @@ class TestWeightedEquality:
         assert WeightedPoint(0, 0, 0, 0, 1) == WeightedPoint(0, 0, 0, 0, 8)
         assert WeightedPoint(0, 0, 0, 0, 1) != WeightedPoint(0, 0, 0, 0, 2)
 
+    def test_unhashable(self):
+        # __eq__ identifies weighted rescalings, so there is no hash to keep
+        # consistent with it short of a weighted normal form
+        with pytest.raises(TypeError):
+            hash(WeightedPoint(1, 0, 0, 1, 0))
+
 
 class TestClassifyAndLift:
     def test_o_branch_formula(self):

@@ -9,17 +9,22 @@ from quartic_cones.polycore import (
     DegreeError,
     NotDivisibleError,
     Poly,
+    PolyError,
     PolyMatrix,
     ScopeError,
     clear_denominators,
+    congruence,
     det_fraction,
     exact_divide,
     format_poly,
     ideal_spans_critical_degree,
+    inverse,
     is_perfect_square,
     macaulay_resultant_ternary,
+    mat_vec,
     matrix_rank,
     nullspace,
+    random_invertible,
     rational_cbrt,
     rational_roots,
     rational_sqrt,
@@ -293,6 +298,32 @@ class TestLinearAlgebra:
 
     def test_clear_denominators(self):
         assert clear_denominators([F(-1, 2), F(1, 3)]) == [F(3), F(-2)]
+
+    def test_inverse(self):
+        a = [[F(2), F(1)], [F(5), F(3)]]
+        assert inverse(a) == [[F(3), F(-1)], [F(-5), F(2)]]
+        with pytest.raises(PolyError):
+            inverse([[F(1), F(2)], [F(2), F(4)]])
+
+    def test_mat_vec(self):
+        assert mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1), F(-1)]) == [F(-1), F(-1)]
+
+    def test_congruence_moves_the_quadratic_form(self):
+        rng = random.Random(3)
+        m = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
+        s = random_invertible(3, rng, 4)
+        c = congruence(m, s)
+        for vec in ([F(1), F(0), F(2)], [F(-1), F(3), F(1, 2)]):
+            sy = mat_vec(s, vec)
+            assert sum(a * b for a, b in zip(sy, mat_vec(m, sy))) \
+                == sum(a * b for a, b in zip(vec, mat_vec(c, vec)))
+
+    def test_random_invertible_draws_row_by_row(self):
+        m = random_invertible(4, random.Random(5), 4)
+        rng = random.Random(5)
+        first_draw = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        assert det_fraction(first_draw) == 228  # invertible, so it is kept as drawn
+        assert m == first_draw
 
 
 @settings(max_examples=60, deadline=None)

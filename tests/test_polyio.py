@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartic_cones.cone import classify_and_lift
+from quartic_cones.covariants import QuarticCurve, covariants, j_eval
+from quartic_cones.octad import QuadricNet, normalize_point, pencil_fiber, steinerian_point
 from quartic_cones.polycore import Poly
 from quartic_cones.polyio import (
     ParseError,
@@ -14,6 +17,7 @@ from quartic_cones.polyio import (
     parse_points_file,
     parse_poly,
     parse_rational,
+    point_coordinates,
     print_poly,
     scan_identifiers,
 )
@@ -110,6 +114,8 @@ class TestPoints:
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
             PointSource((F(0), F(0), F(0)), "P2")
+        with pytest.raises(ValueError):  # zero is checked after conversion
+            PointSource(("0", "0/1", "0"), "P2")
 
     def test_rational_literals(self):
         assert parse_rational("-3/4") == F(-3, 4)
@@ -117,6 +123,47 @@ class TestPoints:
             parse_rational("3.5")
         with pytest.raises(ParseError):
             parse_rational("1/0")
+
+
+DIAGONAL_NET = QuadricNet([
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]],
+    [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 9, 0], [0, 0, 0, 16]],
+])
+
+# Every caller coerces its point through polyio.point_coordinates.
+POINT_CALLERS = {
+    "steinerian_point": ("P2", lambda pair, p: steinerian_point(DIAGONAL_NET, p)),
+    "classify_and_lift": ("P2", lambda pair, p: classify_and_lift(pair, p)),
+    "j_eval": ("P2", lambda pair, p: j_eval(pair, p)),
+    "pencil_fiber": ("P2", lambda pair, p: pencil_fiber(DIAGONAL_NET, p, (0, 1, 0))),
+    "normalize_point": ("P3", lambda pair, p: normalize_point(p)),
+}
+
+MALFORMED_POINTS = {
+    "P2": {"zero": (0, 0, 0), "wrong_length": (1, 0),
+           "wrong_ambient": PointSource((1, 0, 0, 0), "P3")},
+    "P3": {"zero": (0, 0, 0, 0), "wrong_length": (1, 0, 0),
+           "wrong_ambient": PointSource((1, 0, 0), "P2")},
+}
+
+
+@pytest.fixture(scope="module")
+def klein_pair():
+    return covariants(QuarticCurve(parse_poly("x^3*y + y^3*z + z^3*x", "xyz")))
+
+
+@pytest.mark.parametrize("kind", ["zero", "wrong_length", "wrong_ambient"])
+@pytest.mark.parametrize("caller", sorted(POINT_CALLERS))
+def test_malformed_point_raises_value_error(caller, kind, klein_pair):
+    ambient, call = POINT_CALLERS[caller]
+    with pytest.raises(ValueError):
+        call(klein_pair, MALFORMED_POINTS[ambient][kind])
+
+
+def test_point_coordinates():
+    assert point_coordinates((1, "1/2", 0), "P2") == (F(1), F(1, 2), F(0))
+    assert point_coordinates(parse_point("1,2,3,4", "P3"), "P3") == (F(1), F(2), F(3), F(4))
 
 
 def test_scan_identifiers():
