@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartic_cones.octad import hessian_quartic, net_from_heptad
 from quartic_cones.polycore import (
     DegreeError,
     NotDivisibleError,
@@ -20,6 +21,7 @@ from quartic_cones.polycore import (
     ideal_spans_critical_degree,
     inverse,
     is_perfect_square,
+    macaulay_quotient,
     macaulay_resultant_ternary,
     mat_vec,
     matrix_rank,
@@ -31,6 +33,8 @@ from quartic_cones.polycore import (
     resultant_bivariate,
     univariate_gcd,
 )
+
+from conftest import STANDARD_HEPTAD
 
 x, y, z, w = (Poly.var(n) for n in "xyzw")
 s, t, u = (Poly.var(n) for n in "stu")
@@ -227,6 +231,35 @@ class TestMacaulay:
         assert ideal_spans_critical_degree(smooth, "xyz", (3, 3, 3))
         sing = ((x * y) ** 1 * x, x ** 2 * y, x * y * z)
         assert not ideal_spans_critical_degree(sing, "xyz", (3, 3, 3))
+
+
+class TestPrintedCertificates:
+    """The resultants the CLI prints, pinned so a kernel change cannot move them."""
+
+    @staticmethod
+    def partials(q):
+        return [q.partial(n) for n in "xyz"]
+
+    def test_klein(self):
+        # the identity-frame minor degenerates; seed 0 picks the frame the CLI uses
+        klein = x ** 3 * y + y ** 3 * z + z ** 3 * x
+        assert macaulay_resultant_ternary(*self.partials(klein), rng=random.Random(0)) \
+            == 23742071120159211475387799463439023984194093056
+
+    def test_example_510(self):
+        e510 = x ** 4 + y ** 4 + z ** 4 + x ** 3 * y + 2 * x ** 3 * z
+        assert macaulay_resultant_ternary(*self.partials(e510), rng=random.Random(0)) \
+            == -95549058323578880
+
+    def test_standard_heptad_hessian(self):
+        hq = hessian_quartic(net_from_heptad(STANDARD_HEPTAD), rng=random.Random(0))
+        assert hq.resultant == int(
+            "1340947699418752504185859843237929664946348744247158782289555454524464660"
+            "7752209327920509535176504268640255285506538218834341199748088701794041064"
+            "3251200000000")
+        # the identity frame degenerates, so the value above comes from one random frame
+        assert macaulay_quotient(self.partials(hq.quartic), "xyz", (3, 3, 3)) \
+            == (None, Poly.zero())
 
 
 class TestPerfectSquare:
