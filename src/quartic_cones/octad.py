@@ -580,9 +580,10 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
         raise OctadError("center must be four distinct labels in 1..8")
     cols = [octad.point(c) for c in labels]
     T = [[cols[j][i] for j in range(4)] for i in range(4)]
-    if det_fraction(T) == 0:
-        raise OctadError("center points are projectively dependent")
-    Tinv = inverse(T)
+    try:
+        Tinv = inverse(T)
+    except PolyError:
+        raise OctadError("center points are projectively dependent") from None
 
     # One common scalar across the three generators: per-generator scaling
     # would reparametrize the net plane and spoil exact det preservation.
@@ -692,9 +693,11 @@ def _frame_map(points: Sequence[Sequence[Fraction]], labels: Sequence[int]):
     """Matrix sending the standard frame to the chosen labeled points."""
     n = len(points[0])
     M = [list(col) for col in zip(*(points[i] for i in labels[:n]))]
-    if det_fraction(M) == 0:
+    try:
+        Minv = inverse(M)
+    except PolyError:
         return None
-    coeffs = mat_vec(inverse(M), points[labels[n]])
+    coeffs = mat_vec(Minv, points[labels[n]])
     if any(c == 0 for c in coeffs):
         return None
     return [[M[i][j] * coeffs[j] for j in range(n)] for i in range(n)]

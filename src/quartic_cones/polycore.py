@@ -14,7 +14,9 @@ Besides the polynomial ring the module provides the elimination toolkit
 used by the rest of the package: cofactor and fraction-free (Bareiss)
 determinants of polynomial matrices, Sylvester resultants, the Macaulay
 resultant of three ternary forms, perfect-square detection, and exact
-linear algebra over the rationals: rref, rank, nullspace, determinant,
+linear algebra over the rationals: rref, rank, nullspace, the
+determinant (integer Bareiss after scaling each row to integers, also
+the kernel of every Macaulay certificate with rational coefficients),
 inverse, matrix-vector products, the congruence s^T m s that moves a
 quadratic form to new coordinates, and random invertible integer
 matrices for changes of frame.  These matrix helpers are the package's
@@ -550,9 +552,13 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     (None, zero) is returned and the caller decides how to recover
     (typically by a random linear change of coordinates).
 
+    When every entry of the matrix is a rational constant, both
+    determinants come from the integer kernel of ``det_fraction`` (the
+    minor first, so a degenerate minor costs one elimination).
     Coefficients of the forms may be polynomials in other variables; the
-    construction then happens over that coefficient ring, which is how
-    the hidden-variable eliminations elsewhere in the package reuse it.
+    construction then happens over that coefficient ring, with polynomial
+    Bareiss, which is how the hidden-variable eliminations elsewhere in
+    the package reuse it.
     """
     vs = tuple(variables)
     n = len(vs)
@@ -586,8 +592,14 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
                 raise HomogeneityError(
                     f"form {i} is not homogeneous of degree {degrees[i]} in {vs}")
             matrix[r][col] = coeff_poly
-    big = PolyMatrix(matrix).det_bareiss()
     keep = [r for r, expt in enumerate(monos) if not reduced(expt)]
+    if all(e.is_constant() for row in matrix for e in row):
+        values = [[e.constant_value() for e in row] for row in matrix]
+        minor_value = det_fraction([[values[r][c] for c in keep] for r in keep])
+        if minor_value == 0:
+            return None, Poly.zero()
+        return Poly.const(det_fraction(values) / minor_value), Poly.const(minor_value)
+    big = PolyMatrix(matrix).det_bareiss()
     minor_rows = [[matrix[r][c] for c in keep] for r in keep]
     minor = PolyMatrix(minor_rows).det_bareiss()
     if minor.is_zero():
@@ -883,24 +895,42 @@ def _dense_deflate(coeffs: Sequence, root: Fraction) -> list:
 
 
 def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
+    """Exact determinant of a square rational matrix.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    integer matrix is reduced by Bareiss elimination: the same pivot rule
+    as ``_det_bareiss`` (swap in the first nonzero row below, flip the
+    sign), with every division by the previous pivot exact.  The result is
+    the integer determinant over the product of the row scales.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        row_scale = lcm(*(f.denominator for f in fracs))
+        m.append([f.numerator * (row_scale // f.denominator) for f in fracs])
+        scale *= row_scale
     n = len(m)
+    if n == 0:
+        return Fraction(1)
     sign = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return Fraction(0)
+            m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    result = Fraction(sign)
-    for k in range(n):
-        result *= m[k][k]
-    return result
+            row = m[i]
+            a = row[k]
+            m[i] = [0] * (k + 1) + [(pivot * b - a * c) // prev
+                                    for b, c in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):

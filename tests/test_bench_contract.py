@@ -40,6 +40,22 @@ def test_every_spanned_name_exists():
     assert metrics["polycore.PolyMatrix.det_bareiss.n3_sum"][0] == 8
 
 
+def test_scalar_certificate_runs_through_a_spanned_name():
+    # a certificate with rational coefficients must show up as det_fraction
+    # spans (matrix and minor), not as polynomial Bareiss or a private alias
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    x, y, z = (polycore.Poly.var(n) for n in "xyz")
+    try:
+        spans.install()
+        polycore.macaulay_resultant_ternary(4 * x ** 3, 4 * y ** 3, 4 * z ** 3)
+    finally:
+        spans.uninstall()
+    metrics = spans.metrics()
+    assert metrics["polycore.det_fraction.calls"][0] == 2
+    assert metrics["polycore.PolyMatrix.det_bareiss.calls"][0] == 0
+
+
 @pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])
 def test_parallel_entry_points_take_jobs(entry):
     assert "jobs" in inspect.signature(entry).parameters

@@ -213,7 +213,7 @@ class TestCremona:
         bad = Octad([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
                      (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25), (2, 3, 4, 5)],
                     validate=False)
-        with pytest.raises(OctadError):
+        with pytest.raises(OctadError, match="center points are projectively dependent"):
             cremona_octad(bad, (1, 2, 3, 4), net=standard_net)
 
 
