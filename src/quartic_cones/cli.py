@@ -115,20 +115,18 @@ def _smoothness_report(curve: cov.QuarticCurve, rng) -> dict:
 
 def cmd_covariants(args, rng) -> tuple:
     curve, text = _load_quartic(args.quartic)
-    b = cov.line_restriction(curve)
     pair = cov.covariants(curve)
-    cone = cone_mod.cone_equation(pair)
-    dual = cov.dual_curve(pair)
+    G = pair.dual.G
     report = {
         "command": "covariants",
         "input": text,
-        "b": [print_poly(bi) for bi in b],
+        "b": [print_poly(bi) for bi in curve.restriction],
         "g4": print_poly(pair.g4),
         "g6": print_poly(pair.g6),
-        "cone": print_poly(cone.F),
-        "dual_curve": print_poly(dual.G),
-        "dual_degree": dual.G.homogeneous_degree(
-            {**{v: 0 for v in dual.G.variables}, "s": 1, "t": 1, "u": 1}),
+        "cone": print_poly(pair.cone.F),
+        "dual_curve": print_poly(G),
+        "dual_degree": G.homogeneous_degree(
+            {**{v: 0 for v in G.variables}, "s": 1, "t": 1, "u": 1}),
         "input_smoothness": _smoothness_report(curve, rng),
     }
     return report, EXIT_OK
@@ -208,7 +206,6 @@ def cmd_octad(args, rng) -> tuple:
                 "octad": [_point_json(p) for p in octad.points]}, EXIT_OK
 
     if len(points) == 8:
-        net = octad_mod.net_from_heptad(points[:7])
         octad = octad_mod.Octad(points, net=net)
     else:
         octad = octad_mod.eighth_point(net, rng=rng)
@@ -234,8 +231,8 @@ def cmd_octad(args, rng) -> tuple:
         except ValueError:
             raise InputError(f"malformed --center {args.center!r}")
         result = octad_mod.cremona_octad(octad, center, net=net)
-        old_h = result.normalized_source_net.symbol_matrix().det()
-        new_h = result.net.symbol_matrix().det()
+        old_h = result.normalized_source_net.determinant
+        new_h = result.net.determinant
         label = theta_mod.ThetaChar.from_quadruple(*center).label()
         return {"command": "octad.cremona",
                 "center": list(center),
@@ -362,6 +359,8 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     rng = random.Random(args.seed)
     started = time.time()
     try:

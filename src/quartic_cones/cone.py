@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .covariants import CovariantPair, QuarticCurve, covariants, dual_curve
+from .covariants import CovariantPair, QuarticCurve, covariants
 from .polycore import (
     Poly,
     PolyError,
@@ -158,8 +158,8 @@ def classify_and_lift(pair: CovariantPair, q) -> WeightedPoint:
     """
     a0, a1, a2 = point_coordinates(q, "P2")
     at = {"s": a0, "t": a1, "u": a2}
-    G = dual_curve(pair).G
-    if G.eval_at(at) != 0 or any(G.partial(vn).eval_at(at) != 0 for vn in ("s", "t", "u")):
+    dual = pair.dual
+    if dual.G.eval_at(at) != 0 or any(d.eval_at(at) != 0 for d in dual.gradient):
         raise NotDualSingular(f"({a0}, {a1}, {a2}) is not a singular point of the dual curve")
     g4v = pair.g4.eval_at(at)
     g6v = pair.g6.eval_at(at)
@@ -170,8 +170,7 @@ def classify_and_lift(pair: CovariantPair, q) -> WeightedPoint:
     else:
         raise Unclassifiable(
             f"({a0}, {a1}, {a2}): g4 = {g4v}, g6 = {g6v} fit neither lift branch")
-    cone = ConeEquation(pair)
-    if not is_singular_point(cone, lift):
+    if not is_singular_point(pair.cone, lift):
         raise ConeError("lift failed certification")  # pragma: no cover
     return lift
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Sequence, Tuple
 
@@ -85,6 +86,11 @@ class QuarticCurve:
     def parameters(self) -> frozenset:
         return self.poly.variables - set(XYZ)
 
+    @cached_property
+    def restriction(self) -> "LineRestriction":
+        """line_restriction(self), cross-checked once per curve."""
+        return line_restriction(self)
+
 
 @dataclass(frozen=True)
 class LineRestriction:
@@ -101,10 +107,27 @@ class CovariantPair:
     g4: Poly
     g6: Poly
 
+    @cached_property
+    def dual(self) -> "DualCurve":
+        """dual_curve(self), built once per pair: the pair is immutable."""
+        return dual_curve(self)
+
+    @cached_property
+    def cone(self):
+        """The sextic double cone of this pair, built once."""
+        from .cone import cone_equation
+
+        return cone_equation(self)
+
 
 @dataclass(frozen=True)
 class DualCurve:
     G: Poly
+
+    @cached_property
+    def gradient(self) -> Tuple[Poly, Poly, Poly]:
+        """The partials of G in s, t, u."""
+        return tuple(self.G.partial(v) for v in STU)
 
 
 def line_restriction(curve: QuarticCurve) -> LineRestriction:
@@ -168,8 +191,7 @@ def binary_invariants(b: Sequence) -> Tuple:
 
 def covariants(curve: QuarticCurve) -> CovariantPair:
     """The degree-4 and degree-6 covariants: h2 = u^4 g4, h3 = u^6 g6."""
-    b = line_restriction(curve)
-    h2, h3 = binary_invariants(tuple(b))
+    h2, h3 = binary_invariants(tuple(curve.restriction))
     u4 = Poly.var("u") ** 4
     u6 = Poly.var("u") ** 6
     g4 = exact_divide(h2, u4)

@@ -13,8 +13,10 @@ elimination toolkit from polycore.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -132,6 +134,14 @@ class QuadricNet:
         entries = [[x * a0[i][j] + y * a1[i][j] + z * a2[i][j] for j in range(4)]
                    for i in range(4)]
         return PolyMatrix(entries, symmetric=True)
+
+    @cached_property
+    def determinant(self) -> Poly:
+        """det(x A0 + y A1 + z A2), computed once: the matrices are immutable.
+
+        Pickling the net carries this value along, so pool workers reuse it.
+        """
+        return self.symbol_matrix().det()
 
 
 class Octad:
@@ -252,7 +262,7 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
 
 def hessian_quartic(net: QuadricNet, rng=None) -> HessianQuartic:
     """det(x A0 + y A1 + z A2) with its Macaulay smoothness certificate."""
-    quartic = net.symbol_matrix().det()
+    quartic = net.determinant
     if quartic.is_zero() or quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) != {4}:
         return HessianQuartic(quartic, False, Fraction(0))
     res = macaulay_resultant_ternary(quartic.partial("x"), quartic.partial("y"),
@@ -449,9 +459,8 @@ def bitangent_line(octad: Octad, net: QuadricNet, i: int, j: int) -> BitangentCe
         raise OctadError("degenerate bitangent condition")
 
     m1, m2 = _line_basis(line)
-    quartic = net.symbol_matrix().det()
     a1, a2 = Poly.var("a1"), Poly.var("a2")
-    restriction = quartic.subs({
+    restriction = net.determinant.subs({
         "x": a1 * m1[0] + a2 * m2[0],
         "y": a1 * m1[1] + a2 * m2[1],
         "z": a1 * m1[2] + a2 * m2[2],
@@ -471,21 +480,22 @@ def _line_basis(line: Sequence[Fraction]):
 
 
 def all_bitangents(octad: Octad, net: QuadricNet, jobs: int = 1) -> List[BitangentCertificate]:
+    """The 28 bitangent certificates, one per pair of octad labels.
+
+    With ``jobs > 1`` the pairs go to a pool of at most ``jobs`` workers,
+    never more than there are CPUs or pairs.
+    """
     pairs = list(itertools.combinations(range(1, 9), 2))
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_bitangent_task,
-                                   [(octad.points, net.matrices, i, j) for i, j in pairs])
-        return results
+        # Compute the Hessian quartic here: every task gets a pickled copy
+        # of the net with it, so no worker recomputes the determinant.
+        net.determinant
+        with multiprocessing.Pool(workers) as pool:
+            return pool.starmap(bitangent_line, [(octad, net, i, j) for i, j in pairs])
     return [bitangent_line(octad, net, i, j) for i, j in pairs]
-
-
-def _bitangent_task(points, matrices, i, j):
-    net = QuadricNet(matrices)
-    octad = Octad(points, validate=False)
-    return bitangent_line(octad, net, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +635,8 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
     norm_net = QuadricNet(B, basepoints=[mat_vec(Tinv, p) for p in octad.points])
     new_net = QuadricNet(Bp, basepoints=moved_points)
     new_octad = Octad(moved_points, net=new_net)
-    det_old = norm_net.symbol_matrix().det()
-    det_new = new_net.symbol_matrix().det()
-    return CremonaResult(new_octad, new_net, norm_net, det_old == det_new)
+    return CremonaResult(new_octad, new_net, norm_net,
+                         norm_net.determinant == new_net.determinant)
 
 
 def gale_transform(octad: Octad, forms: Optional[Sequence[Sequence[Fraction]]] = None) -> GaleReport:

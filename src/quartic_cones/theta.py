@@ -14,6 +14,7 @@ sums minus K become plain xor.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -181,15 +182,18 @@ def aronhold_enumerate(mode: str = "count", jobs: int = 1):
 
     Depth-first over the odd characteristics in a fixed order, pruning a
     partial set as soon as one triple involving the newest member goes
-    odd.  ``mode`` is "count" or "list".
+    odd.  ``mode`` is "count" or "list".  With ``jobs > 1`` the first
+    members are split over at most ``jobs`` workers, never more than there
+    are CPUs.
     """
     if mode not in ("count", "list"):
         raise ThetaError(f"unknown mode {mode!r}")
     firsts = range(len(_ODD_MASKS))
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(firsts))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_enumerate_from_first, firsts)
     else:
         chunks = map(_enumerate_from_first, firsts)
