@@ -20,7 +20,6 @@ from quartic_cones.octad import (
     Octad,
     _line_basis,
     all_bitangents,
-    cremona_octad,
     hessian_quartic,
     net_from_heptad,
 )
@@ -133,12 +132,6 @@ class TestHessianComputedOnce:
                                       for k, v in enumerate("xyz")})
             assert cert.restriction == restriction
             assert cert.square_root * cert.square_root == restriction
-
-    def test_cremona_computes_two_determinants(self, standard_octad, det_calls):
-        octad, net = fresh_octad(standard_octad)
-        result = cremona_octad(octad, (1, 2, 3, 4), net=net)
-        assert result.det_preserved
-        assert len(det_calls) == 2
 
     def test_cli_cremona_computes_two_determinants(self, capsys, tmp_path, standard_octad,
                                                    det_calls):
