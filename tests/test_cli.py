@@ -136,8 +136,9 @@ class TestOctadCommand:
     def test_non_aronhold_exit_1(self, capsys, tmp_path):
         path = tmp_path / "cubic.txt"
         path.write_text("\n".join(f"1,{t},{t*t},{t*t*t}" for t in range(7)) + "\n")
-        code, _, err = run(capsys, "octad", "eighth", str(path))
-        assert code == 1
+        code, out, err = run(capsys, "octad", "eighth", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: heptad is not Aronhold (net dimension 3, smooth=False)\n"
 
 
 class TestThetaCommand:

@@ -36,6 +36,32 @@ TWISTED_CUBIC = [(1, t, t * t, t * t * t) for t in range(7)]
 COPLANAR = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
             (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
 
+
+def seeded_heptads(seed=20261018):
+    """Three coordinate-simplex heptads, then three random ones."""
+    rng = random.Random(seed)
+
+    def point():
+        return tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(4))
+
+    simplex = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    heptads = [simplex + [point() for _ in range(3)] for _ in range(3)]
+    return heptads + [[point() for _ in range(7)] for _ in range(3)]
+
+
+# The eighth base points of seeded_heptads(), in order.
+PINNED_EIGHTH_POINTS = [
+    (74746806784, 50536112223, -53465691312, -33713962528),
+    (57773859891, -144166118877, 30056686616, -17367457849),
+    (439374240, 303933240, -182424887, -737128770),
+    (25562417252948177764725136482198742049, -33548233949627563679991971344575041766,
+     -123525721745483587321948109127279116909, 41277979376453200258784059259235154243),
+    (64462204319813980658729107, 69739562296233835747480672,
+     -45917437078511482710536393, -85835611587424912726122943),
+    (64555502852515680306381435436676444, 590181945783044044759207461217977055,
+     -646272786980627080855624157330975107, -610662134594979088193238562246873772),
+]
+
 DIAGONAL = QuadricNet([
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]],
@@ -109,11 +135,19 @@ class TestEighthPoint:
             assert quadric_eval(m, p8) == 0
 
     def test_rederive_from_subsets(self, standard_octad):
-        for omit in (1, 4):
+        for omit in range(1, 9):
             labels = [i for i in range(1, 9) if i != omit]
             subnet = net_from_heptad([standard_octad.point(i) for i in labels])
             rederived = eighth_point(subnet, rng=random.Random(1))
             assert points_equal(rederived.point(8), standard_octad.point(omit))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_pinned_seeded_heptads(self, index):
+        heptad = seeded_heptads()[index]
+        net = net_from_heptad(heptad)
+        p8 = eighth_point(net, rng=random.Random(0)).point(8)
+        assert p8 == tuple(F(c) for c in PINNED_EIGHTH_POINTS[index])
+        assert all(quadric_eval(m, p8) == 0 for m in net.matrices)
 
     def test_non_aronhold_rejected(self):
         net = net_from_heptad(TWISTED_CUBIC)
