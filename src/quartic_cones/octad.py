@@ -6,15 +6,16 @@ by three symmetric 4x4 rational matrices.  The determinant of the matrix
 pencil is a plane quartic (the Hessian quartic of the net), the base
 locus of the net is a regular Cayley octad when the heptad is Aronhold,
 and the pairs of octad points mark the 28 bitangents of the Hessian
-quartic.  Everything here is exact rational linear algebra plus the
-elimination toolkit from polycore.
+quartic.  Everything here is exact rational linear algebra over
+polycore, including a closed form for the eighth base point; the one
+elimination left is the Macaulay certificate of the Hessian quartic's
+smoothness.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -29,18 +30,13 @@ from .polycore import (
     coefficients_multi,
     congruence,
     det_fraction,
-    exact_divide,
     inverse,
     is_perfect_square,
-    macaulay_quotient,
     macaulay_resultant_ternary,
     mat_vec,
     matrix_rank,
     nullspace,
-    random_invertible,
     rational_roots,
-    resultant_bivariate,
-    to_dense,
     univariate_gcd,
 )
 from .polyio import point_coordinates
@@ -61,10 +57,6 @@ class DimensionError(OctadError):
         super().__init__(f"quadrics through the points form a system of "
                          f"dimension {dimension}, not 3")
         self.dimension = dimension
-
-
-class EliminationDegenerate(OctadError):
-    """Every attempted coordinate change left the elimination degenerate."""
 
 
 class NonSquarefree(OctadError):
@@ -303,131 +295,62 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
 # Eighth base point
 
 
-def _hide_first_variable(affine: Poly) -> Poly:
-    """Homogenize the (x1, x2) part with h, leaving x0 as a coefficient."""
-    terms = {}
-    for mono, coeff in affine.terms.items():
-        exps = dict(mono)
-        d = exps.get("x1", 0) + exps.get("x2", 0)
-        if d > 2:
-            raise OctadError("affine quadric has degree > 2")  # pragma: no cover
-        if d < 2:
-            exps["h"] = 2 - d
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(terms, affine.variables | {"x1", "x2", "h"})
-
-
-def eighth_point(net: QuadricNet, rng=None, max_attempts: int = 24,
+def eighth_point(net: QuadricNet, rng=None,
                  check: Optional[AronholdReport] = None) -> Octad:
-    """The eighth base point of the net of an Aronhold heptad.
+    """The eighth base point of the net of an Aronhold heptad, in closed form.
 
-    Strategy: random rational coordinate change, then eliminate down to a
-    degree-8 polynomial in one coordinate by a hidden-variable Macaulay
-    resultant of the three quadrics, divide out the seven known roots,
-    and back-substitute through univariate gcds.  The result is verified
-    on all three generators and against the known seven points.
+    The eight base points impose only seven conditions on quadrics, so
+    sum lam_i P_i P_i^T = 0 with every lam_i nonzero, and the sum over the
+    first seven is a rank-one multiple of P8 P8^T.  In the frame
+    T = [P1 P2 P3 P4] the terms of P1..P4 are diagonal, so the
+    off-diagonal entries s_ab(lam5, lam6, lam7) of the other three satisfy
+    s01 s23 = s02 s13 = s03 s12.  Both differences vanish at the
+    coordinate points of (lam5 : lam6 : lam7), so they are linear in
+    mu_i = 1 / lam_i and mu is a cross product; then
+    P8 = T (s01 s02, s01 s12, s02 s12, s03 s12).  The returned Octad
+    verifies the point on all three generators and against the seven.
+
+    Without ``check`` the Aronhold verdict is computed on ``net`` itself
+    (its Hessian determinant is then cached for later consumers).  ``rng``
+    is unused and kept for callers that pass one.
     """
     if len(net.basepoints) < 7:
         raise OctadError("eighth_point needs the net's seven defining points")
+    known = net.basepoints[:7]
     if check is None:
-        check = aronhold_check(net.basepoints[:7])
-    if not check.verdict:
+        dimension = 10 - matrix_rank([_quadric_row(p) for p in known])
+        smooth = hessian_quartic(net).smooth if dimension == 3 else None
+    else:
+        dimension, smooth = check.net_dimension, check.hessian_smooth
+    if not (dimension == 3 and smooth):
         raise OctadError("heptad is not Aronhold (net dimension "
-                         f"{check.net_dimension}, smooth={check.hessian_smooth})")
-    rng = rng or random.Random(0)
-    known = [list(p) for p in net.basepoints[:7]]
+                         f"{dimension}, smooth={smooth})")
 
-    for attempt in range(max_attempts):
-        S = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)] \
-            if attempt == 0 else random_invertible(4, rng, 4)
-        Sinv = inverse(S)
-        moved = [mat_vec(Sinv, p) for p in known]
-        if any(p[3] == 0 for p in moved):
-            continue
-        moved = [[c / p[3] for c in p] for p in moved]
-        a_known = [p[0] for p in moved]
-        if len(set(a_known)) != 7:
-            continue
-        B = [congruence(m, S) for m in net.matrices]
+    T = [list(row) for row in zip(*known[:4])]
+    try:
+        Tinv = inverse(T)
+    except PolyError:
+        raise OctadError("points 1 to 4 are coplanar") from None
+    q = [mat_vec(Tinv, p) for p in known[4:]]
+    # s_ab = sum_i lam_i w[a, b][i] over i = 5, 6, 7
+    w = {(a, b): [v[a] * v[b] for v in q] for a, b in itertools.combinations(range(4), 2)}
 
-        x0, x1, x2 = Poly.var("x0"), Poly.var("x1"), Poly.var("x2")
-        coords = [x0, x1, x2, Poly.const(1)]
-        quadrics = []
-        for m in B:
-            q = Poly.zero()
-            for i in range(4):
-                for j in range(4):
-                    if m[i][j]:
-                        q = q + coords[i] * coords[j] * m[i][j]
-            quadrics.append(q)
-        hidden = [_hide_first_variable(q) for q in quadrics]
-        quotient, _ = macaulay_quotient(hidden, ("x1", "x2", "h"), (2, 2, 2))
-        if quotient is None or quotient.degree_in("x0") != 8:
-            continue
-        eliminant = quotient
-        known_product = Poly.const(1)
-        for a in a_known:
-            known_product = known_product * (x0 - a)
-        try:
-            linear = exact_divide(eliminant, known_product)
-        except PolyError:
-            continue
-        dense = to_dense(linear, "x0")
-        if len(dense) != 2:
-            continue
-        a8 = -dense[0] / dense[1]
+    def mu_row(ab, cd, ef, gh):
+        # s_ab s_cd - s_ef s_gh divided by lam5 lam6 lam7, as coefficients of mu
+        return [w[ab][j] * w[cd][k] + w[ab][k] * w[cd][j]
+                - w[ef][j] * w[gh][k] - w[ef][k] * w[gh][j]
+                for j, k in ((1, 2), (0, 2), (0, 1))]
 
-        specialized = [q.subs({"x0": Poly.const(a8)}) for q in quadrics]
-        solution = _solve_two_conics(specialized)
-        if solution is None:
-            continue
-        b8, c8 = solution
-        if any(q.eval_at({"x1": b8, "x2": c8}) != 0 for q in specialized):
-            continue
-        candidate = mat_vec(S, [a8, b8, c8, Fraction(1)])
-        candidate = normalize_point(candidate)
-        if any(quadric_eval(m, candidate) != 0 for m in net.matrices):
-            continue  # pragma: no cover - the verification above implies this
-        if any(candidate == tuple(p) for p in net.basepoints[:7]):
-            continue
-        return Octad(list(net.basepoints[:7]) + [candidate], net=net)
-    raise EliminationDegenerate(
-        f"no coordinate change out of {max_attempts} produced a clean elimination")
-
-
-def _solve_two_conics(conics: Sequence[Poly]):
-    """Unique common rational zero of the specialized conics, if clean."""
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for i, j in pairs:
-        ci, cj = conics[i], conics[j]
-        if ci.degree_in("x2") < 1 or cj.degree_in("x2") < 1:
-            continue
-        ri = resultant_bivariate(ci, cj, "x2")
-        others = [k for k in range(3) if k not in (i, j)]
-        ck = conics[others[0]]
-        if ck.degree_in("x2") < 1:
-            continue
-        rk = resultant_bivariate(ci, ck, "x2")
-        if ri.is_zero() or rk.is_zero():
-            continue
-        g = univariate_gcd(ri, rk, "x1")
-        if g.degree_in("x1") != 1:
-            continue
-        dense = to_dense(g, "x1")
-        b = -dense[0] / dense[1]
-        uni = [q.subs({"x1": Poly.const(b)}) for q in conics]
-        gcd2 = None
-        for a, bq in itertools.combinations(uni, 2):
-            if a.degree_in("x2") >= 1 and bq.degree_in("x2") >= 1:
-                g2 = univariate_gcd(a, bq, "x2")
-                gcd2 = g2 if gcd2 is None else univariate_gcd(gcd2, g2, "x2")
-        if gcd2 is None or gcd2.degree_in("x2") != 1:
-            continue
-        dense2 = to_dense(gcd2, "x2")
-        c = -dense2[0] / dense2[1]
-        return b, c
-    return None
+    m5, m6, m7 = dual_point_of_line(mu_row((0, 1), (2, 3), (0, 2), (1, 3)),
+                                    mu_row((0, 2), (1, 3), (0, 3), (1, 2)))
+    lam = (m6 * m7, m5 * m7, m5 * m6)  # 1 / mu up to the factor m5 m6 m7
+    s01, s02, s03, s12 = (sum(l * c for l, c in zip(lam, w[ab]))
+                          for ab in ((0, 1), (0, 2), (0, 3), (1, 2)))
+    if m5 * m6 * m7 * s01 * s02 * s12 == 0:
+        raise OctadError("the eighth point's closed form degenerates")
+    candidate = mat_vec(T, [s01 * s02, s01 * s12, s02 * s12, s03 * s12])
+    # Octad verifies the point on every generator and against the seven.
+    return Octad(list(known) + [candidate], net=net)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ threads.  There is no floating point anywhere in this module.
 Besides the polynomial ring the module provides the elimination toolkit
 used by the rest of the package: cofactor and fraction-free (Bareiss)
 determinants of polynomial matrices, Sylvester resultants, the Macaulay
-resultant of three ternary forms, perfect-square detection, and exact
-linear algebra over the rationals: rref, rank, nullspace, the
-determinant (integer Bareiss after scaling each row to integers, also
-the kernel of every Macaulay certificate with rational coefficients),
+resultant of three ternary forms with rational coefficients,
+perfect-square detection, and exact linear algebra over the rationals:
+rref, rank, nullspace, the determinant (integer Bareiss after scaling
+each row to integers, also the kernel of every Macaulay certificate),
 inverse, matrix-vector products, the congruence s^T m s that moves a
 quadratic form to new coordinates, and random invertible integer
 matrices for changes of frame.  These matrix helpers are the package's
@@ -552,13 +552,10 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     (None, zero) is returned and the caller decides how to recover
     (typically by a random linear change of coordinates).
 
-    When every entry of the matrix is a rational constant, both
-    determinants come from the integer kernel of ``det_fraction`` (the
-    minor first, so a degenerate minor costs one elimination).
-    Coefficients of the forms may be polynomials in other variables; the
-    construction then happens over that coefficient ring, with polynomial
-    Bareiss, which is how the hidden-variable eliminations elsewhere in
-    the package reuse it.
+    The forms must have rational coefficients; a coefficient involving
+    another variable raises PolyError.  Both determinants come from the
+    integer kernel of ``det_fraction`` (the minor first, so a degenerate
+    minor costs one elimination).
     """
     vs = tuple(variables)
     n = len(vs)
@@ -592,19 +589,14 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
                 raise HomogeneityError(
                     f"form {i} is not homogeneous of degree {degrees[i]} in {vs}")
             matrix[r][col] = coeff_poly
+    if not all(e.is_constant() for row in matrix for e in row):
+        raise PolyError("Macaulay matrix entries must be rational constants")
+    values = [[e.constant_value() for e in row] for row in matrix]
     keep = [r for r, expt in enumerate(monos) if not reduced(expt)]
-    if all(e.is_constant() for row in matrix for e in row):
-        values = [[e.constant_value() for e in row] for row in matrix]
-        minor_value = det_fraction([[values[r][c] for c in keep] for r in keep])
-        if minor_value == 0:
-            return None, Poly.zero()
-        return Poly.const(det_fraction(values) / minor_value), Poly.const(minor_value)
-    big = PolyMatrix(matrix).det_bareiss()
-    minor_rows = [[matrix[r][c] for c in keep] for r in keep]
-    minor = PolyMatrix(minor_rows).det_bareiss()
-    if minor.is_zero():
-        return None, minor
-    return exact_divide(big, minor), minor
+    minor_value = det_fraction([[values[r][c] for c in keep] for r in keep])
+    if minor_value == 0:
+        return None, Poly.zero()
+    return Poly.const(det_fraction(values) / minor_value), Poly.const(minor_value)
 
 
 def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],

@@ -1,8 +1,9 @@
 """The benchmark harness in perfbench/ calls the package by name; keep those names.
 
 perfbench/tracer.py wraps every function listed in its SPANS table and reads
-PolyMatrix.n, and perfbench/run.py and perfbench/baselines.py call the two
-parallel entry points with jobs=2.  These tests only read perfbench/.
+PolyMatrix.n, perfbench/run.py and perfbench/baselines.py call the two
+parallel entry points with jobs=2, and they (with perfbench/selftest.py)
+pass eighth_point an rng and a check.  These tests only read perfbench/.
 """
 
 import inspect
@@ -59,3 +60,8 @@ def test_scalar_certificate_runs_through_a_spanned_name():
 @pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])
 def test_parallel_entry_points_take_jobs(entry):
     assert "jobs" in inspect.signature(entry).parameters
+
+
+def test_eighth_point_takes_rng_and_check():
+    parameters = inspect.signature(octad.eighth_point).parameters
+    assert "rng" in parameters and "check" in parameters

@@ -9,12 +9,13 @@ the covariant pipeline, so neither side can break silently.
 """
 
 import itertools
+import random
 
 import pytest
 
 from quartic_cones.cone import NotDualSingular, classify_and_lift, cone_equation, node_certificate
 from quartic_cones.covariants import QuarticCurve, covariants
-from quartic_cones.octad import all_bitangents, hessian_quartic
+from quartic_cones.octad import all_bitangents, eighth_point, hessian_quartic, net_from_heptad
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +25,32 @@ def hessian_pair(standard_net):
     return covariants(QuarticCurve(hess.quartic))
 
 
-def test_bitangents_lift_to_28_distinct_nodes(standard_net, standard_octad, hessian_pair):
-    cone = cone_equation(hessian_pair)
+def assert_bitangents_lift_to_28_distinct_nodes(octad, net, pair):
+    cone = cone_equation(pair)
     lifts = []
-    for cert in all_bitangents(standard_octad, standard_net):
-        lift = classify_and_lift(hessian_pair, cert.line)
+    for cert in all_bitangents(octad, net):
+        lift = classify_and_lift(pair, cert.line)
         assert node_certificate(cone, lift)
         lifts.append(lift)
     assert len(lifts) == 28
     assert all(a != b for a, b in itertools.combinations(lifts, 2))
+
+
+def test_bitangents_lift_to_28_distinct_nodes(standard_net, standard_octad, hessian_pair):
+    assert_bitangents_lift_to_28_distinct_nodes(standard_octad, standard_net, hessian_pair)
+
+
+def test_random_heptad_bitangents_lift_to_28_distinct_nodes():
+    # seven seeded points with nonzero coordinates in [-9, 9]: an Aronhold
+    # heptad whose octad coordinates run to 18 digits
+    rng = random.Random(1)
+    heptad = [tuple(rng.choice([c for c in range(-9, 10) if c]) for _ in range(4))
+              for _ in range(7)]
+    net = net_from_heptad(heptad)
+    octad = eighth_point(net)
+    hess = hessian_quartic(net)
+    assert hess.smooth
+    assert_bitangents_lift_to_28_distinct_nodes(octad, net, covariants(QuarticCurve(hess.quartic)))
 
 
 def test_non_bitangent_dual_point_is_rejected(standard_net, standard_octad, hessian_pair):

@@ -232,6 +232,13 @@ class TestMacaulay:
         sing = ((x * y) ** 1 * x, x ** 2 * y, x * y * z)
         assert not ideal_spans_critical_degree(sing, "xyz", (3, 3, 3))
 
+    def test_quotient_rejects_polynomial_coefficients(self):
+        # a hidden variable a makes the Macaulay matrix non-constant
+        a = Poly.var("a")
+        forms = (x ** 2 + a * y ** 2, y ** 2 - z ** 2, x * z + a * y * z)
+        with pytest.raises(PolyError, match="rational constants"):
+            macaulay_quotient(forms, "xyz", (2, 2, 2))
+
 
 class TestPrintedCertificates:
     """The resultants the CLI prints, pinned so a kernel change cannot move them."""
