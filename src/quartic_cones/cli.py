@@ -211,7 +211,7 @@ def cmd_octad(args, rng) -> tuple:
         octad = octad_mod.eighth_point(net, rng=rng)
 
     if action == "bitangents":
-        certs = octad_mod.all_bitangents(octad, net, jobs=args.jobs)
+        certs = octad_mod.all_bitangents(octad, net)
         lines = {tuple(c.line) for c in certs}
         return {"command": "octad.bitangents",
                 "count": len(certs),
@@ -259,12 +259,12 @@ def cmd_theta(args, rng) -> tuple:
     if args.action == "count":
         model = theta_mod.build_model()
         odd = sum(1 for c in model if c.is_odd())
-        count = theta_mod.aronhold_enumerate("count", jobs=args.jobs)
+        count = theta_mod.aronhold_enumerate("count")
         return {"command": "theta.count",
                 "odd": odd, "even": len(model) - odd,
                 "aronhold": count}, EXIT_OK
     if args.action == "aronhold":
-        systems = theta_mod.aronhold_enumerate("list", jobs=args.jobs)
+        systems = theta_mod.aronhold_enumerate("list")
         hist = theta_mod.even_fiber_histogram(systems)
         report = {"command": "theta.aronhold",
                   "count": len(systems),
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output format (default from ${FORMAT_ENV}, else json)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized coordinate changes (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for bitangent sweeps and enumeration")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="timing notes on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,10 +357,8 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     rng = random.Random(args.seed)
-    started = time.time()
+    started = time.perf_counter()
     try:
         report, code = args.func(args, rng)
     except (InputError, ParseError, ValueError) as err:
@@ -373,7 +369,7 @@ def main(argv=None) -> int:
         return EXIT_MATH
     if args.verbose:
         sys.stderr.write(f"{report.get('command', args.command)}: "
-                         f"{time.time() - started:.3f}s (seed {args.seed})\n")
+                         f"{time.perf_counter() - started:.3f}s (seed {args.seed})\n")
     sys.stdout.write(_render(report, args.format))
     return code
 

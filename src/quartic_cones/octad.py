@@ -15,7 +15,6 @@ smoothness.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -129,10 +128,7 @@ class QuadricNet:
 
     @cached_property
     def determinant(self) -> Poly:
-        """det(x A0 + y A1 + z A2), computed once: the matrices are immutable.
-
-        Pickling the net carries this value along, so pool workers reuse it.
-        """
+        """det(x A0 + y A1 + z A2), computed once: the matrices are immutable."""
         return self.symbol_matrix().det()
 
 
@@ -405,20 +401,10 @@ def _line_basis(line: Sequence[Fraction]):
 def all_bitangents(octad: Octad, net: QuadricNet, jobs: int = 1) -> List[BitangentCertificate]:
     """The 28 bitangent certificates, one per pair of octad labels.
 
-    With ``jobs > 1`` the pairs go to a pool of at most ``jobs`` workers,
-    never more than there are CPUs or pairs.
+    ``jobs`` is unused and kept for callers that pass one.
     """
-    pairs = list(itertools.combinations(range(1, 9), 2))
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        import multiprocessing
-
-        # Compute the Hessian quartic here: every task gets a pickled copy
-        # of the net with it, so no worker recomputes the determinant.
-        net.determinant
-        with multiprocessing.Pool(workers) as pool:
-            return pool.starmap(bitangent_line, [(octad, net, i, j) for i, j in pairs])
-    return [bitangent_line(octad, net, i, j) for i, j in pairs]
+    return [bitangent_line(octad, net, i, j)
+            for i, j in itertools.combinations(range(1, 9), 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ sums minus K become plain xor.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 ALL_MASK = 0xFF
 
@@ -118,10 +117,6 @@ def odd_characteristics() -> List[ThetaChar]:
     return [ThetaChar.from_pair(i, j) for i, j in itertools.combinations(range(1, 9), 2)]
 
 
-# The fixed search order of aronhold_enumerate.
-_ODD_MASKS = tuple(c.mask for c in odd_characteristics())
-
-
 def triple_sum(a: ThetaChar, b: ThetaChar, c: ThetaChar) -> ThetaChar:
     """theta_a + theta_b + theta_c - K, as offset addition."""
     for x in (a, b, c):
@@ -167,59 +162,30 @@ class AronholdSystem:
         return tuple(sorted(m.support() for m in self.members))
 
 
-def _pairwise_ok(masks: Sequence[int], candidate: int) -> bool:
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            combined = masks[i] ^ masks[j] ^ candidate
-            weight = bin(min(combined, combined ^ ALL_MASK)).count("1")
-            if (weight // 2) % 2 == 1:
-                return False
-    return True
-
-
 def aronhold_enumerate(mode: str = "count", jobs: int = 1):
-    """Exhaustive search for Aronhold systems among the 28 odd classes.
+    """The 288 Aronhold systems among the 28 odd classes, in closed form.
 
-    Depth-first over the odd characteristics in a fixed order, pruning a
-    partial set as soon as one triple involving the newest member goes
-    odd.  ``mode`` is "count" or "list".  With ``jobs > 1`` the first
-    members are split over at most ``jobs`` workers, never more than there
-    are CPUs.
+    In octad labels they are the 8 stars {ik : k != i} and, for each of
+    the 56 triples {i, j, k} and each of the 5 labels l outside it, the
+    system {ij, ik, jk} together with {lm : m not in {i, j, k, l}}
+    (Dolgachev, *Classical Algebraic Geometry*, 6.1-6.3).  Members are
+    listed in the order of odd_characteristics() and systems in
+    lexicographic order of their members.  Every system is validated by
+    AronholdSystem, so ``mode`` "count" is the length of the certified
+    "list".  ``jobs`` is unused and kept for callers that pass one.
     """
     if mode not in ("count", "list"):
         raise ThetaError(f"unknown mode {mode!r}")
-    firsts = range(len(_ODD_MASKS))
-    workers = min(jobs, os.cpu_count() or 1, len(firsts))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_enumerate_from_first, firsts)
-    else:
-        chunks = map(_enumerate_from_first, firsts)
-    found = [s for chunk in chunks for s in chunk]
-    if mode == "count":
-        return len(found)
-    return [AronholdSystem(tuple(ThetaChar(m) for m in masks)) for masks in found]
-
-
-def _enumerate_from_first(first_index: int) -> List[Tuple[int, ...]]:
-    """Every system whose first member, in the fixed order, is odd number first_index."""
-    found: List[Tuple[int, ...]] = []
-
-    def extend(chosen: List[int], start: int):
-        if len(chosen) == 7:
-            found.append(tuple(chosen))
-            return
-        for idx in range(start, len(_ODD_MASKS)):
-            cand = _ODD_MASKS[idx]
-            if _pairwise_ok(chosen, cand):
-                chosen.append(cand)
-                extend(chosen, idx + 1)
-                chosen.pop()
-
-    extend([_ODD_MASKS[first_index]], first_index + 1)
-    return found
+    labels = range(1, 9)
+    systems = [[(i, k) for k in labels if k != i] for i in labels]
+    for i, j, k in itertools.combinations(labels, 3):
+        for l in labels:
+            if l not in (i, j, k):
+                systems.append([(i, j), (i, k), (j, k)]
+                               + [(l, m) for m in labels if m not in (i, j, k, l)])
+    ordered = sorted(sorted(tuple(sorted(pair)) for pair in s) for s in systems)
+    found = [AronholdSystem(tuple(ThetaChar.from_pair(*pair) for pair in s)) for s in ordered]
+    return len(found) if mode == "count" else found
 
 
 def even_fiber_histogram(systems: Iterable[AronholdSystem]) -> Dict:

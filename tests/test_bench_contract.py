@@ -1,9 +1,10 @@
 """The benchmark harness in perfbench/ calls the package by name; keep those names.
 
 perfbench/tracer.py wraps every function listed in its SPANS table and reads
-PolyMatrix.n, perfbench/run.py and perfbench/baselines.py call the two
-parallel entry points with jobs=2, and they (with perfbench/selftest.py)
-pass eighth_point an rng and a check.  These tests only read perfbench/.
+PolyMatrix.n, perfbench/run.py and perfbench/baselines.py call
+all_bitangents and aronhold_enumerate with jobs=2 (a keyword both accept
+and ignore: they run serially), and they (with perfbench/selftest.py) pass
+eighth_point an rng and a check.  These tests only read perfbench/.
 """
 
 import inspect
@@ -60,6 +61,20 @@ def test_scalar_certificate_runs_through_a_spanned_name():
 @pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])
 def test_parallel_entry_points_take_jobs(entry):
     assert "jobs" in inspect.signature(entry).parameters
+
+
+def test_jobs_keyword_starts_no_pool(monkeypatch, standard_net, standard_octad):
+    import multiprocessing
+    import multiprocessing.pool
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool may be started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    assert (octad.all_bitangents(standard_octad, standard_net, jobs=2)
+            == octad.all_bitangents(standard_octad, standard_net))
+    assert theta.aronhold_enumerate("list", jobs=2) == theta.aronhold_enumerate("list")
 
 
 def test_eighth_point_takes_rng_and_check():

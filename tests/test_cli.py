@@ -154,6 +154,12 @@ class TestThetaCommand:
         assert report["fiber_sizes"] == [8]
         assert report["fibers"] == 36
 
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", "2", "theta", "count"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestS4Command:
     def test_lambda_zero_fermat_consistency(self, capsys):

@@ -1,20 +1,14 @@
-"""Work that is computed once and reused, and process pools that stay bounded.
+"""Work that is computed once and reused.
 
 The Hessian quartic det(x A0 + y A1 + z A2) of a net, the line restriction
 of a quartic, and the dual curve and cone of a covariant pair are each
 built once per object.  Determinant calls are counted by patching
-``PolyMatrix.det``; pools are replaced by a fake that records its size and
-maps serially (after a pickle round trip, as a real pool would), so no
-test here starts a process.
+``PolyMatrix.det``.
 """
-
-import os
-import pickle
 
 import pytest
 
 from quartic_cones import covariants as cov
-from quartic_cones import theta
 from quartic_cones.cli import main
 from quartic_cones.octad import (
     Octad,
@@ -41,48 +35,6 @@ def det_calls(monkeypatch):
     return calls
 
 
-class FakePool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-
-    sizes = []
-    det_calls = None  # when set, the determinants computed inside tasks are counted
-    dets_in_tasks = []
-
-    def __init__(self, processes):
-        FakePool.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def _run(self, fn, arg_tuples):
-        before = len(self.det_calls) if self.det_calls is not None else 0
-        results = [pickle.loads(pickle.dumps(fn(*pickle.loads(pickle.dumps(args)))))
-                   for args in arg_tuples]
-        if self.det_calls is not None:
-            FakePool.dets_in_tasks.append(len(self.det_calls) - before)
-        return results
-
-    def starmap(self, fn, iterable):
-        return self._run(fn, list(iterable))
-
-    def map(self, fn, iterable):
-        return self._run(fn, [(item,) for item in iterable])
-
-
-@pytest.fixture()
-def fake_pool(monkeypatch):
-    import multiprocessing
-
-    FakePool.sizes = []
-    FakePool.det_calls = None
-    FakePool.dets_in_tasks = []
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    return FakePool
-
-
 def fresh_octad(standard_octad):
     """A new net (nothing cached) and the standard octad on it."""
     net = net_from_heptad(STANDARD_HEPTAD)
@@ -107,18 +59,6 @@ class TestHessianComputedOnce:
         all_bitangents(octad, net)
         assert hessian_quartic(net).quartic is net.determinant
         assert det_calls == [4]
-
-    def test_pool_workers_compute_no_determinant(self, standard_octad, det_calls,
-                                                 fake_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        fake_pool.det_calls = det_calls
-        octad, net = fresh_octad(standard_octad)
-        pooled = all_bitangents(octad, net, jobs=2)
-        assert fake_pool.sizes == [2]
-        assert fake_pool.dets_in_tasks == [0]
-        assert det_calls == [4]
-        octad, net = fresh_octad(standard_octad)
-        assert pooled == all_bitangents(octad, net)
 
     def test_certificates_match_a_fresh_determinant(self, standard_net, standard_octad):
         fresh = net_from_heptad(STANDARD_HEPTAD).symbol_matrix().det()
@@ -180,34 +120,3 @@ class TestComputedOncePerObject:
         assert pair.cone is pair.cone
         assert built == ["dual", "cone"]
 
-
-class TestBoundedPools:
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 28), (None, None)])
-    def test_bitangent_pool_is_capped(self, standard_net, standard_octad, fake_pool,
-                                      monkeypatch, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        certs = all_bitangents(standard_octad, standard_net, jobs=100000)
-        assert len(certs) == 28
-        assert fake_pool.sizes == ([] if expected is None else [expected])
-
-    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 28), (1, None)])
-    def test_aronhold_pool_is_capped(self, fake_pool, monkeypatch, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert theta.aronhold_enumerate("count", jobs=100000) == 288
-        assert fake_pool.sizes == ([] if expected is None else [expected])
-
-    def test_cli_caps_huge_jobs(self, capsys, tmp_path, standard_octad, fake_pool,
-                                monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        path = octad_file(tmp_path, standard_octad)
-        assert main(["--jobs", "100000", "octad", "bitangents", path]) == 0
-        assert '"count": 28' in capsys.readouterr().out
-        assert fake_pool.sizes == [2]
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_cli_rejects_jobs_below_one(self, capsys, fake_pool, jobs):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--jobs", jobs, "theta", "count"])
-        assert exit_info.value.code == 2
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
-        assert fake_pool.sizes == []

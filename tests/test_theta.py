@@ -122,9 +122,6 @@ class TestAronhold:
         assert len(hist) == 36
         assert set(hist.values()) == {8}
 
-    def test_parallel_enumeration_matches(self):
-        assert aronhold_enumerate("count", jobs=2) == 288
-
     def test_invalid_system_rejected(self):
         # a disjoint 3-matching inside is forbidden
         members = [ThetaChar.from_pair(1, 2), ThetaChar.from_pair(3, 4),
@@ -138,3 +135,79 @@ class TestAronhold:
         members = tuple(ThetaChar.from_pair(8, i) for i in range(1, 8))
         system = AronholdSystem(members)
         assert system.even_characteristic() == ThetaChar.base()
+
+
+def _sums_to_odd(mask: int) -> bool:
+    weight = bin(min(mask, mask ^ 0xFF)).count("1")
+    return (weight // 2) % 2 == 1
+
+
+def dfs_aronhold_systems():
+    """Every set of seven odd pair classes whose triple sums are all even.
+
+    An exhaustive depth-first search over the 28 pairs in
+    odd_characteristics() order, pruning a partial set as soon as a triple
+    with its newest member sums to an odd class.  It knows nothing of the
+    closed form, so it is an independent oracle for aronhold_enumerate.
+    """
+    masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in itertools.combinations(range(1, 9), 2)]
+    found = []
+
+    def extend(chosen, start):
+        if len(chosen) == 7:
+            found.append(tuple(chosen))
+            return
+        for index in range(start, len(masks)):
+            candidate = masks[index]
+            if not any(_sums_to_odd(a ^ b ^ candidate)
+                       for a, b in itertools.combinations(chosen, 2)):
+                chosen.append(candidate)
+                extend(chosen, index + 1)
+                chosen.pop()
+
+    extend([], 0)
+    return [AronholdSystem(tuple(ThetaChar(m) for m in system)) for system in found]
+
+
+@pytest.fixture(scope="module")
+def dfs_systems():
+    return dfs_aronhold_systems()
+
+
+def drop_one_choice_of_l(systems):
+    """The closed form without its largest choice of l for every triple."""
+    pairs = {ThetaChar.from_pair(i, j): (i, j)
+             for i, j in itertools.combinations(range(1, 9), 2)}
+    kept = []
+    for system in systems:
+        degree = {a: 0 for a in range(1, 9)}
+        for member in system.members:
+            for a in pairs[member]:
+                degree[a] += 1
+        if 4 in degree.values():  # not a star: l has 4 members, i, j, k have 2
+            l = next(a for a, d in degree.items() if d == 4)
+            if l == max(a for a, d in degree.items() if d != 2):
+                continue
+        kept.append(system)
+    return kept
+
+
+class TestDfsOracle:
+    def test_reproduces_the_list_in_order(self, dfs_systems):
+        assert dfs_systems == aronhold_enumerate("list")
+
+    def test_reproduces_the_fibres(self, dfs_systems):
+        hist = even_fiber_histogram(dfs_systems)
+        assert hist == even_fiber_histogram(aronhold_enumerate("list"))
+        assert len(hist) == 36 and set(hist.values()) == {8}
+
+    def test_reproduces_criterion_10_counts(self, dfs_systems):
+        odd = sum(1 for c in build_model() if c.is_odd())
+        assert (odd, len(dfs_systems)) == (28, 288)
+        assert aronhold_enumerate("count") == len(dfs_systems)
+
+    def test_catches_a_dropped_choice_of_l(self, dfs_systems):
+        mutant = drop_one_choice_of_l(aronhold_enumerate("list"))
+        assert len(mutant) == 288 - 56
+        assert mutant != dfs_systems
+        assert even_fiber_histogram(mutant) != even_fiber_histogram(dfs_systems)
