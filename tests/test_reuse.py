@@ -1,14 +1,21 @@
-"""Work that is computed once and reused.
+"""Work that is computed once and reused, and process counts that stay bounded.
 
 The Hessian quartic det(x A0 + y A1 + z A2) of a net, the line restriction
 of a quartic, and the dual curve and cone of a covariant pair are each
 built once per object.  Determinant calls are counted by patching
-``PolyMatrix.det``.
+``PolyMatrix.det``.  Pools are replaced by a fake that records its size and
+maps serially, so no test here starts a process; the sweeps are serial, so
+every bound below holds with no pool at all.
 """
+
+import multiprocessing
+import multiprocessing.pool
+import os
 
 import pytest
 
 from quartic_cones import covariants as cov
+from quartic_cones import theta
 from quartic_cones.cli import main
 from quartic_cones.octad import (
     Octad,
@@ -33,6 +40,40 @@ def det_calls(monkeypatch):
 
     monkeypatch.setattr(PolyMatrix, "det", counted)
     return calls
+
+
+class FakePool:
+    """Records the size of every pool started and maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes=None):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, iterable):
+        return [fn(*args) for args in iterable]
+
+    def map(self, fn, iterable):
+        return [fn(arg) for arg in iterable]
+
+
+@pytest.fixture()
+def fake_pool(monkeypatch):
+    FakePool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", FakePool)
+    return FakePool
+
+
+def assert_capped(sizes, cap):
+    """No pool of more than ``cap`` processes, and none at all if ``cap`` is None."""
+    assert all(cap is not None and size <= cap for size in sizes), sizes
 
 
 def fresh_octad(standard_octad):
@@ -120,3 +161,39 @@ class TestComputedOncePerObject:
         assert pair.cone is pair.cone
         assert built == ["dual", "cone"]
 
+
+class TestBoundedPools:
+    """However large ``jobs`` is, at most min(cpu_count, 28) processes."""
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 28), (None, None)])
+    def test_bitangent_pool_is_capped(self, standard_net, standard_octad, fake_pool,
+                                      monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        certs = all_bitangents(standard_octad, standard_net, jobs=100000)
+        assert len(certs) == 28
+        assert_capped(fake_pool.sizes, expected)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 28), (1, None)])
+    def test_aronhold_pool_is_capped(self, fake_pool, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert theta.aronhold_enumerate("count", jobs=100000) == 288
+        assert_capped(fake_pool.sizes, expected)
+
+    def test_cli_caps_huge_jobs(self, capsys, tmp_path, standard_octad, fake_pool,
+                                monkeypatch):
+        # --jobs is no longer an option: argparse refuses it before any work
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        path = octad_file(tmp_path, standard_octad)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", "100000", "octad", "bitangents", path])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert fake_pool.sizes == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_cli_rejects_jobs_below_one(self, capsys, fake_pool, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", jobs, "theta", "count"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{jobs}'" in capsys.readouterr().err
+        assert fake_pool.sizes == []

@@ -122,6 +122,9 @@ class TestAronhold:
         assert len(hist) == 36
         assert set(hist.values()) == {8}
 
+    def test_parallel_enumeration_matches(self):
+        assert aronhold_enumerate("count", jobs=2) == 288
+
     def test_invalid_system_rejected(self):
         # a disjoint 3-matching inside is forbidden
         members = [ThetaChar.from_pair(1, 2), ThetaChar.from_pair(3, 4),
