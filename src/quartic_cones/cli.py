@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from . import cone as cone_mod
 from . import covariants as cov
-from . import octad as octad_mod
-from . import theta as theta_mod
 from .polycore import PolyError, macaulay_resultant_ternary
 from .polyio import (
     ParseError,
@@ -162,7 +160,7 @@ def cmd_j(args, rng) -> tuple:
     return report, EXIT_OK
 
 
-def _aronhold_json(rep: octad_mod.AronholdReport) -> dict:
+def _aronhold_json(rep) -> dict:
     return {
         "coplanarity_determinants_computed": len(rep.coplanarity),
         "coplanar_quadruples": [list(q) for q in rep.coplanar_quadruples],
@@ -175,6 +173,10 @@ def _aronhold_json(rep: octad_mod.AronholdReport) -> dict:
 
 
 def cmd_octad(args, rng) -> tuple:
+    # octad and theta are imported where they are used, so the quartic
+    # subcommands do not compile them at startup
+    from . import octad as octad_mod
+
     action = args.action
     if action in ("check", "net", "hessian", "eighth"):
         points = _load_points(args.points, (7,))
@@ -230,6 +232,8 @@ def cmd_octad(args, rng) -> tuple:
             center = tuple(int(part) for part in args.center.split(","))
         except ValueError:
             raise InputError(f"malformed --center {args.center!r}")
+        from . import theta as theta_mod
+
         result = octad_mod.cremona_octad(octad, center, net=net)
         old_h = result.normalized_source_net.determinant
         new_h = result.net.determinant
@@ -256,6 +260,8 @@ def cmd_octad(args, rng) -> tuple:
 
 
 def cmd_theta(args, rng) -> tuple:
+    from . import theta as theta_mod
+
     if args.action == "count":
         model = theta_mod.build_model()
         odd = sum(1 for c in model if c.is_odd())

@@ -7,6 +7,16 @@ term dictionaries.  Term order, where one is needed (leading terms,
 printing, division), is graded lexicographic with variables compared
 alphabetically.
 
+The public constructor ``Poly(terms, variables)`` validates what it is
+given: it wraps every coefficient as a Fraction, drops zeros and adds the
+variables of the terms to the scope.  Ring operations whose results are
+clean by construction (sums, negation, products, scalar division,
+derivatives, substitution, exact quotients) build them through the
+trusted ``Poly._make``, which checks and copies nothing.  Products scale
+each operand to integer numerators over one common denominator, so their
+inner loop is integer arithmetic and each output coefficient is one
+normalised Fraction.
+
 All values are immutable after construction and safe to share between
 threads.  There is no floating point anywhere in this module.
 
@@ -74,6 +84,12 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
+def _integer_terms(terms: Mapping[Mono, Fraction]):
+    """(d, [(mono, n), ...]) with each coefficient n/d over the lcm d of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
@@ -132,6 +148,19 @@ class Poly:
         return (Poly, (self.terms, tuple(self.variables)))
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _make(terms: Dict[Mono, Fraction], variables: frozenset) -> "Poly":
+        """Trusted constructor for results that are clean by construction.
+
+        ``terms`` must map canonical monomials to nonzero Fractions and
+        ``variables`` must be a frozenset covering every variable in them;
+        nothing is copied or checked.
+        """
+        p = object.__new__(Poly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "variables", variables)
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -195,17 +224,17 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in q.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+            s = out[mono] + coeff if mono in out else coeff
             if s:
                 out[mono] = s
             else:
-                out.pop(mono, None)
-        return Poly(out, self.variables | q.variables)
+                del out[mono]
+        return Poly._make(out, self.variables | q.variables)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, self.variables)
+        return Poly._make({m: -c for m, c in self.terms.items()}, self.variables)
 
     def __sub__(self, other):
         q = Poly._coerce(other)
@@ -217,21 +246,21 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        # integer numerators over one common denominator per operand, so
+        # the inner loop adds and multiplies Python ints only
         q = Poly._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        if not self.terms or not q.terms:
-            return Poly({}, self.variables | q.variables)
-        out: Dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in q.terms.items():
+        d1, a = _integer_terms(self.terms)
+        d2, b = _integer_terms(q.terms)
+        acc: Dict[Mono, int] = {}
+        for m1, n1 in a:
+            for m2, n2 in b:
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(out, self.variables | q.variables)
+                acc[m] = acc.get(m, 0) + n1 * n2
+        d = d1 * d2
+        return Poly._make({m: Fraction(n, d) for m, n in acc.items() if n},
+                          self.variables | q.variables)
 
     __rmul__ = __mul__
 
@@ -240,7 +269,7 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division of Poly by zero scalar")
-            return Poly({m: v / c for m, v in self.terms.items()}, self.variables)
+            return Poly._make({m: v / c for m, v in self.terms.items()}, self.variables)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -288,20 +317,13 @@ class Poly:
         out: Dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
-            e = exps.get(var, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                exps.pop(var)
-            else:
-                exps[var] = e - 1
-            m = tuple(sorted(exps.items()))
-            s = out.get(m, Fraction(0)) + coeff * e
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(out, self.variables)
+            e = exps.pop(var, 0)
+            if e:
+                if e > 1:
+                    exps[var] = e - 1
+                # distinct monomials keep distinct derivatives: no collisions
+                out[tuple(sorted(exps.items()))] = coeff * e
+        return Poly._make(out, self.variables)
 
     def subs(self, bindings: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
         """Substitute polynomials (or scalars) for variables, exactly."""
@@ -324,7 +346,7 @@ class Poly:
                     term = term * Poly({((name, e),): Fraction(1)})
             result = result + term
         keep = self.variables - set(bindings)
-        return Poly(result.terms, result.variables | keep)
+        return Poly._make(result.terms, result.variables | keep)
 
     def eval_at(self, bindings: Mapping[str, Fraction | int]) -> Fraction:
         """Full evaluation; every variable appearing in a term must be bound."""
@@ -383,8 +405,8 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
             raise NotDivisibleError(rem)
         c = rem.terms[lead_r] / cd
         quotient[m] = c
-        rem = rem - Poly({m: c}) * d
-    return Poly(quotient, p.variables | d.variables)
+        rem = rem - Poly._make({m: c}, rem.variables) * d
+    return Poly._make(quotient, p.variables | d.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +544,9 @@ def coefficients_multi(p: Poly, variables: Sequence[str]) -> Dict[Tuple[int, ...
         exps = dict(mono)
         key = tuple(exps.pop(v, 0) for v in vs)
         rest = tuple(sorted(exps.items()))
-        bucket = out.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
-    return {k: Poly(v) for k, v in out.items() if any(c != 0 for c in v.values())}
+        # (key, rest) determines the monomial, so nothing collides or cancels
+        out.setdefault(key, {})[rest] = coeff
+    return {k: Poly(v) for k, v in out.items()}
 
 
 def _monomials_of_degree(variables: Sequence[str], degree: int) -> list:
@@ -541,6 +563,26 @@ def _monomials_of_degree(variables: Sequence[str], degree: int) -> list:
 
     rec((), degree, n)
     return out
+
+
+def _shifted_row(form: Poly, shift: Sequence[int], vs: Sequence[str],
+                 index: Mapping[Tuple[int, ...], int]) -> list:
+    """Coefficients of x^shift * form, as Fractions, in the columns of ``index``.
+
+    Each term's exponent tuple over ``vs`` is moved by ``shift`` into its
+    column.  A product monomial without a column raises HomogeneityError;
+    a term in a variable outside ``vs`` raises PolyError.
+    """
+    row = [Fraction(0)] * len(index)
+    for mono, coeff in form.terms.items():
+        exps = dict(mono)
+        col = index.get(tuple(e + exps.pop(v, 0) for e, v in zip(shift, vs)))
+        if col is None:
+            raise HomogeneityError(f"form is not homogeneous of its degree in {vs}")
+        if exps:
+            raise PolyError("Macaulay matrix entries must be rational constants")
+        row[col] = coeff
+    return row
 
 
 def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
@@ -574,24 +616,12 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     def reduced(expt):
         return sum(1 for i in range(n) if expt[i] >= degrees[i]) == 1
 
-    zero = Poly.zero()
-    size = len(monos)
-    matrix = [[zero] * size for _ in range(size)]
-    for r, expt in enumerate(monos):
+    values = []
+    for expt in monos:
         i = divisor_class(expt)
         shift = list(expt)
         shift[i] -= degrees[i]
-        mult = Poly({tuple((vs[k], e) for k, e in enumerate(shift) if e): Fraction(1)})
-        prod = mult * forms[i]
-        for key, coeff_poly in coefficients_multi(prod, vs).items():
-            col = index.get(key)
-            if col is None:
-                raise HomogeneityError(
-                    f"form {i} is not homogeneous of degree {degrees[i]} in {vs}")
-            matrix[r][col] = coeff_poly
-    if not all(e.is_constant() for row in matrix for e in row):
-        raise PolyError("Macaulay matrix entries must be rational constants")
-    values = [[e.constant_value() for e in row] for row in matrix]
+        values.append(_shifted_row(forms[i], shift, vs, index))
     keep = [r for r, expt in enumerate(monos) if not reduced(expt)]
     minor_value = det_fraction([[values[r][c] for c in keep] for r in keep])
     if minor_value == 0:
@@ -613,15 +643,8 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     crit = sum(degrees) - len(vs) + 1
     target = _monomials_of_degree(vs, crit)
     index = {m: i for i, m in enumerate(target)}
-    rows = []
-    for f, d in zip(forms, degrees):
-        for expt in _monomials_of_degree(vs, crit - d):
-            mult = Poly({tuple((vs[k], e) for k, e in enumerate(expt) if e): Fraction(1)})
-            prod = mult * f
-            row = [Fraction(0)] * len(target)
-            for key, coeff in coefficients_multi(prod, vs).items():
-                row[index[key]] = coeff.constant_value()
-            rows.append(row)
+    rows = [_shifted_row(f, expt, vs, index)
+            for f, d in zip(forms, degrees) for expt in _monomials_of_degree(vs, crit - d)]
     return matrix_rank(rows) == len(target)
 
 

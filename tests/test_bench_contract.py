@@ -13,7 +13,7 @@ import types
 
 import pytest
 
-from quartic_cones import octad, polycore, theta
+from quartic_cones import cli, octad, polycore, theta
 
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "tracer.py")
@@ -56,6 +56,24 @@ def test_scalar_certificate_runs_through_a_spanned_name():
     metrics = spans.metrics()
     assert metrics["polycore.det_fraction.calls"][0] == 2
     assert metrics["polycore.PolyMatrix.det_bareiss.calls"][0] == 0
+
+
+def test_covariants_run_counts_products_and_public_constructions(capsys, tmp_path):
+    # ring results skip Poly.__init__, which is all the tracer counts as
+    # constructed; perfbench/selftest.py asserts that count stays positive
+    path = tmp_path / "klein.txt"
+    path.write_text("x^3*y + y^3*z + z^3*x\n")
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        assert cli.main(["covariants", str(path)]) == 0
+    finally:
+        spans.uninstall()
+    capsys.readouterr()
+    metrics = spans.metrics()
+    assert metrics["polycore.Poly.mul.calls"][0] > 0
+    assert metrics["polycore.Poly.constructed"][0] > 0
 
 
 @pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])

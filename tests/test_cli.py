@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import quartic_cones
 from quartic_cones.cli import main
 
 from conftest import STANDARD_HEPTAD
@@ -203,3 +206,24 @@ class TestDeterminism:
         assert out.startswith("b:") or "g4:" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+class TestStartup:
+    def test_quartic_subcommand_leaves_octad_and_theta_unimported(self, tmp_path):
+        # a fresh interpreter, so no earlier test has imported them already
+        path = tmp_path / "klein.txt"
+        path.write_text(KLEIN)
+        script = (
+            "import contextlib, io, sys\n"
+            "from quartic_cones import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['covariants', {str(path)!r}]) == 0\n"
+            "print(sorted(m for m in ('quartic_cones.octad', 'quartic_cones.theta')"
+            " if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(quartic_cones.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

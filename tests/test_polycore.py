@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -389,3 +391,161 @@ def test_add_mul_consistency(aterms, bterms):
 
     a, b = build(aterms), build(bterms)
     assert (a + b) * (a - b) == a * a - b * b
+
+
+# -- differential test of the ring operations ---------------------------------
+# A naive reference on {monomial: Fraction} dicts, written independently of
+# polycore: Fraction arithmetic throughout, zeros dropped only at the end.
+
+REF_VARS = ("w", "x", "y", "z")
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def ref_mono_mul(a, b):
+    exps = Counter(dict(a))
+    exps.update(dict(b))
+    return tuple(sorted(exps.items()))
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, F(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono_mul(m1, m2)
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n):
+    out = {(): F(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a, var):
+    out = {}
+    for m, c in a.items():
+        exps = dict(m)
+        e = exps.get(var, 0)
+        if e:
+            exps[var] = e - 1
+            dm = tuple(sorted((n, k) for n, k in exps.items() if k))
+            out[dm] = out.get(dm, F(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_subs(a, bindings):
+    total = {}
+    for m, c in a.items():
+        term = {(): c}
+        for name, e in m:
+            factor = ref_pow(bindings[name], e) if name in bindings else {((name, e),): F(1)}
+            term = ref_mul(term, factor)
+        total = ref_add(total, term)
+    return total
+
+
+def assert_clean(p):
+    """Every coefficient a nonzero Fraction, scope a covering frozenset, rebuild equal."""
+    assert type(p.variables) is frozenset
+    for mono, c in p.terms.items():
+        assert type(c) is F and c != 0
+        assert all(e > 0 for _, e in mono) and list(mono) == sorted(mono)
+        assert {name for name, _ in mono} <= p.variables
+    rebuilt = Poly(dict(p.terms), p.variables)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+# mixed denominators, and zero coefficients that the public constructor drops
+ref_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def raw_polys(draw, max_terms=4):
+    """(terms, scope): possibly zero, over a random (possibly empty) set of variables."""
+    scope = draw(st.sets(st.sampled_from(REF_VARS), max_size=3))
+    names = sorted(scope)
+    exps = st.tuples(*[st.integers(0, 2) for _ in names])
+    terms = draw(st.dictionaries(exps, ref_coefficients, max_size=max_terms))
+    return {tuple((n, e) for n, e in zip(names, ex) if e): c
+            for ex, c in terms.items()}, scope
+
+
+@st.composite
+def raw_pairs(draw):
+    """Two raw polynomials; the second may cancel some terms of the first."""
+    (a, sa), (b, sb) = draw(raw_polys()), draw(raw_polys())
+    for m, c in a.items():
+        if c and draw(st.booleans()):
+            b[m] = -c
+            sb = sb | {n for n, _ in m}
+    return (a, sa), (b, sb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_pairs(), st.integers(0, 3))
+def test_ring_ops_match_fraction_reference(pair, n):
+    (a, sa), (b, sb) = pair
+    p, q = Poly(a, sa), Poly(b, sb)
+    ra, rb = ref_clean(a), ref_clean(b)
+    union = p.variables | q.variables
+    for result, expected, scope in ((p + q, ref_add(ra, rb), union),
+                                    (p - q, ref_add(ra, ref_neg(rb)), union),
+                                    (-p, ref_neg(ra), p.variables),
+                                    (p * q, ref_mul(ra, rb), union),
+                                    (p ** n, ref_pow(ra, n), None),
+                                    (p - p, {}, p.variables),
+                                    (F(2, 3) * p + 1, ref_add(ref_mul({(): F(2, 3)}, ra),
+                                                              {(): F(1)}), p.variables)):
+        assert_clean(result)
+        assert result.terms == expected
+        if scope is not None:
+            assert result.variables == scope
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_polys(), raw_polys(max_terms=3), st.data())
+def test_partial_and_subs_match_fraction_reference(raw, binding, data):
+    (a, sa), (b, sb) = raw, binding
+    p, image = Poly(a, sa), Poly(b, sb)
+    ra = ref_clean(a)
+    for var in sorted(sa):
+        d = p.partial(var)
+        assert_clean(d)
+        assert d.terms == ref_partial(ra, var)
+        assert d.variables == p.variables
+    bound = data.draw(st.sets(st.sampled_from(sorted(sa)), max_size=2)) if sa else set()
+    result = p.subs({v: image for v in bound})
+    assert_clean(result)
+    assert result.terms == ref_subs(ra, {v: ref_clean(b) for v in bound})
+    assert p.variables - bound <= result.variables
+
+
+class TestPickle:
+    def test_ring_results_round_trip(self):
+        # built by the trusted constructor, with scopes wider than their terms
+        p = (F(1, 2) * x * y - F(2, 3) * z ** 2 * (x + F(5, 7))).partial("y")
+        zero = x * 0 + (y - y)
+        assert p.variables == {"x", "y", "z"} and not p.is_constant()
+        assert zero.is_zero() and zero.variables == {"x", "y"}
+        for value in (p, zero):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(value, protocol))
+                assert back.terms == value.terms and back.variables == value.variables
+                assert all(type(c) is F for c in back.terms.values())
+                assert back == value and hash(back) == hash(value)
