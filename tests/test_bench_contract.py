@@ -1,7 +1,8 @@
 """The benchmark harness in perfbench/ calls the package by name; keep those names.
 
-perfbench/tracer.py wraps every function listed in its SPANS table and reads
-PolyMatrix.n, perfbench/run.py and perfbench/baselines.py call
+perfbench/tracer.py wraps every function listed in its SPANS table, reads
+PolyMatrix.n and counts Poly.__init__ calls (ring results built by the
+trusted Poly._make are not counted), perfbench/run.py and perfbench/baselines.py call
 all_bitangents and aronhold_enumerate with jobs=2 (a keyword both accept
 and ignore: they run serially), and they (with perfbench/selftest.py) pass
 eighth_point an rng and a check.  These tests only read perfbench/.

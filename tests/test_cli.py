@@ -221,9 +221,8 @@ class TestStartup:
             "print(sorted(m for m in ('quartic_cones.octad', 'quartic_cones.theta')"
             " if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(quartic_cones.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
