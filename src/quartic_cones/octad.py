@@ -9,7 +9,8 @@ and the pairs of octad points mark the 28 bitangents of the Hessian
 quartic.  Everything here is exact rational linear algebra over
 polycore, including a closed form for the eighth base point; the one
 elimination left is the Macaulay certificate of the Hessian quartic's
-smoothness.
+smoothness, which ``eighth_point`` settles by one determinant modulo a
+prime whenever that residue is nonzero.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import covariants as cov
@@ -31,6 +33,7 @@ from .polycore import (
     det_fraction,
     inverse,
     is_perfect_square,
+    macaulay_matrix,
     macaulay_resultant_ternary,
     mat_vec,
     matrix_rank,
@@ -39,6 +42,9 @@ from .polycore import (
     univariate_gcd,
 )
 from .polyio import point_coordinates
+
+# Mersenne prime for the modular smoothness certificate in ``eighth_point``.
+CERTIFICATE_PRIME = 2 ** 61 - 1
 
 # Monomial order for quadric coefficient vectors on P3.
 QUADRIC_MONOMIALS = ((0, 0), (1, 1), (2, 2), (3, 3),
@@ -248,10 +254,14 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
     return QuadricNet(matrices, basepoints=pts)
 
 
+def _is_plane_quartic(quartic: Poly) -> bool:
+    return not quartic.is_zero() and quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) == {4}
+
+
 def hessian_quartic(net: QuadricNet, rng=None) -> HessianQuartic:
     """det(x A0 + y A1 + z A2) with its Macaulay smoothness certificate."""
     quartic = net.determinant
-    if quartic.is_zero() or quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) != {4}:
+    if not _is_plane_quartic(quartic):
         return HessianQuartic(quartic, False, Fraction(0))
     res = macaulay_resultant_ternary(quartic.partial("x"), quartic.partial("y"),
                                      quartic.partial("z"), rng=rng)
@@ -287,6 +297,51 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
                           hess.smooth, hess.resultant, verdict)
 
 
+def det_nonzero_mod_p(rows: Sequence[Sequence[Fraction | int]]) -> bool:
+    """True when a residue mod ``CERTIFICATE_PRIME`` proves det(rows) != 0.
+
+    Each row is scaled to integers by the lcm of its denominators, as in
+    ``det_fraction``, and the integer matrix is reduced by Gaussian
+    elimination mod p.  A nonzero residue proves the determinant nonzero;
+    False means no proof: the determinant is zero or divisible by p.
+    """
+    p = CERTIFICATE_PRIME
+    m = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) % p for v in row])
+    n = len(m)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            return False
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        top = m[k][k + 1:]
+        inverse_pivot = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k] * inverse_pivot % p
+            if factor:
+                m[i][k + 1:] = [(b - factor * c) % p for b, c in zip(row[k + 1:], top)]
+    return True
+
+
+def _hessian_smooth(net: QuadricNet) -> bool:
+    """Whether the Hessian quartic is smooth, proved mod p where it can be.
+
+    det M = Res * det M' for the Macaulay matrix M of the quartic's three
+    partials (``macaulay_matrix``), so a nonzero residue of det M in the
+    identity frame proves Res != 0.  A zero or non-quartic determinant or
+    a vanishing residue goes to the exact ``hessian_quartic``.
+    """
+    quartic = net.determinant
+    if _is_plane_quartic(quartic):
+        rows, _ = macaulay_matrix([quartic.partial(v) for v in "xyz"], "xyz", (3, 3, 3))
+        if det_nonzero_mod_p(rows):
+            return True
+    return hessian_quartic(net).smooth
+
+
 # ---------------------------------------------------------------------------
 # Eighth base point
 
@@ -307,15 +362,21 @@ def eighth_point(net: QuadricNet, rng=None,
     verifies the point on all three generators and against the seven.
 
     Without ``check`` the Aronhold verdict is computed on ``net`` itself
-    (its Hessian determinant is then cached for later consumers).  ``rng``
-    is unused and kept for callers that pass one.
+    (its Hessian determinant is then cached for later consumers).  The
+    verdict needs only Res != 0 for the quartic's partials, never the
+    value: one Macaulay determinant in the identity frame, reduced modulo
+    ``CERTIFICATE_PRIME``, proves it when its residue is nonzero, since
+    det M = Res * det M'.  A zero residue (a singular quartic, a
+    degenerate identity-frame minor or an unlucky prime) falls back to the
+    exact ``hessian_quartic``, with its frame retries and rank test.
+    ``rng`` is unused and kept for callers that pass one.
     """
     if len(net.basepoints) < 7:
         raise OctadError("eighth_point needs the net's seven defining points")
     known = net.basepoints[:7]
     if check is None:
         dimension = 10 - matrix_rank([_quadric_row(p) for p in known])
-        smooth = hessian_quartic(net).smooth if dimension == 3 else None
+        smooth = _hessian_smooth(net) if dimension == 3 else None
     else:
         dimension, smooth = check.net_dimension, check.hessian_smooth
     if not (dimension == 3 and smooth):

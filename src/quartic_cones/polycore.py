@@ -585,6 +585,38 @@ def _shifted_row(form: Poly, shift: Sequence[int], vs: Sequence[str],
     return row
 
 
+def macaulay_matrix(forms: Sequence[Poly], variables: Sequence[str],
+                    degrees: Sequence[int]):
+    """Macaulay's matrix for n forms in n variables, and its extraneous minor.
+
+    Returns (rows, minor): row r holds the coefficients of x^shift * f_i
+    for the r-th monomial of the critical degree sum(d_i) - n + 1
+    (grlex-descending), where f_i is the first form whose degree the
+    monomial's exponent reaches.  ``minor`` lists the monomials that reach
+    two or more degrees; their rows and columns make the minor M', and
+    det M = Res * det M' (Macaulay 1903).
+
+    The forms must have rational coefficients; a coefficient involving
+    another variable raises PolyError.
+    """
+    vs = tuple(variables)
+    n = len(vs)
+    if len(forms) != n or len(degrees) != n:
+        raise PolyError("need as many forms and degrees as variables")
+    monos = _monomials_of_degree(vs, sum(degrees) - n + 1)
+    index = {m: i for i, m in enumerate(monos)}
+    rows, minor = [], []
+    for r, expt in enumerate(monos):
+        reached = [i for i in range(n) if expt[i] >= degrees[i]]
+        i = reached[0]
+        shift = list(expt)
+        shift[i] -= degrees[i]
+        rows.append(_shifted_row(forms[i], shift, vs, index))
+        if len(reached) > 1:
+            minor.append(r)
+    return rows, minor
+
+
 def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
                       degrees: Sequence[int]):
     """Classical Macaulay construction for n forms in n variables.
@@ -594,39 +626,15 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     (None, zero) is returned and the caller decides how to recover
     (typically by a random linear change of coordinates).
 
-    The forms must have rational coefficients; a coefficient involving
-    another variable raises PolyError.  Both determinants come from the
-    integer kernel of ``det_fraction`` (the minor first, so a degenerate
-    minor costs one elimination).
+    M and M' come from ``macaulay_matrix``.  Both determinants come from
+    the integer kernel of ``det_fraction`` (the minor first, so a
+    degenerate minor costs one elimination).
     """
-    vs = tuple(variables)
-    n = len(vs)
-    if len(forms) != n or len(degrees) != n:
-        raise PolyError("need as many forms and degrees as variables")
-    crit = sum(degrees) - n + 1
-    monos = _monomials_of_degree(vs, crit)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def divisor_class(expt):
-        for i in range(n):
-            if expt[i] >= degrees[i]:
-                return i
-        raise PolyError("monomial below critical degree")  # pragma: no cover
-
-    def reduced(expt):
-        return sum(1 for i in range(n) if expt[i] >= degrees[i]) == 1
-
-    values = []
-    for expt in monos:
-        i = divisor_class(expt)
-        shift = list(expt)
-        shift[i] -= degrees[i]
-        values.append(_shifted_row(forms[i], shift, vs, index))
-    keep = [r for r, expt in enumerate(monos) if not reduced(expt)]
-    minor_value = det_fraction([[values[r][c] for c in keep] for r in keep])
+    rows, keep = macaulay_matrix(forms, variables, degrees)
+    minor_value = det_fraction([[rows[r][c] for c in keep] for r in keep])
     if minor_value == 0:
         return None, Poly.zero()
-    return Poly.const(det_fraction(values) / minor_value), Poly.const(minor_value)
+    return Poly.const(det_fraction(rows) / minor_value), Poly.const(minor_value)
 
 
 def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],

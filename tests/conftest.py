@@ -11,6 +11,16 @@ STANDARD_HEPTAD = [
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
     (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25),
 ]
+SIMPLEX = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+# Heptads 1, 2 and 4 of perfbench's octad-pipeline stream at seed 1.
+# Heptad 4's net has dimension 3, but points 2, 4, 5, 6 are coplanar: it
+# is not Aronhold.
+SEED1_HEPTADS = {
+    1: [(-3, -2, -3, 9), (-8, 7, 5, 3), (4, -3, -8, -6), (-9, 7, 7, -8),
+        (-3, -5, 9, -5), (-4, -6, 7, 9), (-3, -7, -5, -2)],
+    2: SIMPLEX + [(4, -2, -4, -6), (-1, 4, -3, 1), (-7, 1, -8, 5)],
+    4: SIMPLEX + [(-2, 4, -3, -1), (4, -6, 6, -3), (4, 6, 2, 5)],
+}
 
 
 def P(text, names="x y z s t u"):

@@ -8,10 +8,11 @@ its argv, the SHA-256 of stdout and of stderr, and the exit code.
 ``cli.main`` and compares.  Regenerate the corpus only for a change that
 means to alter the CLI's bytes, and say which commands moved.
 
-Commands run in a directory that holds the input files under relative
-names, with ``COLUMNS=80`` (argparse wraps help to the terminal width)
-and without ``QUARTIC_CONES_FORMAT``, so the bytes depend on nothing but
-argv and the files.
+The heptads come from ``tests/conftest.py``.  Commands run in a directory
+that holds the input files under relative names, with ``COLUMNS=80``
+(argparse wraps help to the terminal width) and without
+``QUARTIC_CONES_FORMAT``, so the bytes depend on nothing but argv and the
+files.
 """
 
 from __future__ import annotations
@@ -24,20 +25,13 @@ import os
 import sys
 import tempfile
 
+from conftest import SEED1_HEPTADS, SIMPLEX, STANDARD_HEPTAD
+
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_corpus.json")
 
-STANDARD_HEPTAD = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-                   (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
-SIMPLEX = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-# Heptads 1, 2 and 4 of perfbench's octad-pipeline stream at seed 1, with
-# the Cremona centres that stream draws for them.  Heptad 4's net has
-# dimension 3, but points 2, 4, 5, 6 are coplanar: it is not Aronhold.
-SEED1_HEPTADS = {
-    1: ([(-3, -2, -3, 9), (-8, 7, 5, 3), (4, -3, -8, -6), (-9, 7, 7, -8),
-         (-3, -5, 9, -5), (-4, -6, 7, 9), (-3, -7, -5, -2)], "1,3,4,5"),
-    2: (SIMPLEX + [(4, -2, -4, -6), (-1, 4, -3, 1), (-7, 1, -8, 5)], "1,2,5,6"),
-    4: (SIMPLEX + [(-2, 4, -3, -1), (4, -6, 6, -3), (4, 6, 2, 5)], "2,5,6,8"),
-}
+# The Cremona centres that perfbench's octad-pipeline stream draws at
+# seed 1 for its heptads 1, 2 and 4.
+SEED1_CENTERS = {1: "1,3,4,5", 2: "1,2,5,6", 4: "2,5,6,8"}
 TWISTED_CUBIC = [(1, t, t * t, t ** 3) for t in range(7)]
 COPLANAR = SIMPLEX[:3] + [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
 COLLINEAR = [(1, i, 0, 0) for i in range(7)]
@@ -64,7 +58,7 @@ FILES = {
     "collinear.txt": _points(COLLINEAR),
     "short.txt": _points(SIMPLEX[:2]),
     "badpoint.txt": "1,0,0,0\n0,1,0\n",
-    **{f"seed1-heptad{k}.txt": _points(pts) for k, (pts, _) in SEED1_HEPTADS.items()},
+    **{f"seed1-heptad{k}.txt": _points(pts) for k, pts in SEED1_HEPTADS.items()},
 }
 
 OCTAD_ACTIONS = ("check", "net", "hessian", "eighth", "bitangents", "gale")
@@ -104,7 +98,7 @@ def commands() -> list:
         ["octad", "gale", "standard8.txt"],
         ["octad", "cremona", "standard8.txt", "--center", "2,3,5,8"],
     ]
-    for k, (_, center) in SEED1_HEPTADS.items():
+    for k, center in SEED1_CENTERS.items():
         out += _octad_commands(f"seed1-heptad{k}.txt", center)
     out += _octad_commands("twisted.txt", "1,2,3,4")
     for action in ("check", "eighth"):

@@ -99,3 +99,22 @@ def test_jobs_keyword_starts_no_pool(monkeypatch, standard_net, standard_octad):
 def test_eighth_point_takes_rng_and_check():
     parameters = inspect.signature(octad.eighth_point).parameters
     assert "rng" in parameters and "check" in parameters
+
+
+def test_polycore_stays_under_the_compile_peak_step():
+    """polycore.py must stay under 8,000 AST nodes.
+
+    Each fresh CLI job compiles polycore.py (the benchmark runs without a
+    bytecode cache), and that compile sets quartic-scan's ``peak_rss_mb``.
+    The compile peak steps up by about half a megabyte once the module's
+    AST passes roughly 8,040 nodes (CHANGES.md, the FOUND line on
+    polycore.py's compile peak; its probe is ``python3 -c "import resource;
+    compile(open('src/quartic_cones/polycore.py').read(), 'x', 'exec');
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"``).
+    Kernels that only one pipeline needs belong in that pipeline's module.
+    """
+    import ast
+
+    with open(polycore.__file__) as handle:
+        nodes = sum(1 for _ in ast.walk(ast.parse(handle.read())))
+    assert nodes < 8000

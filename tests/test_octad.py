@@ -1,11 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quartic_cones import octad as octad_mod
+from quartic_cones import polycore
 from quartic_cones.covariants import QuarticCurve, covariants, j_eval, j_from_roots
 from quartic_cones.octad import (
+    CERTIFICATE_PRIME,
     CorankTooHigh,
     DimensionError,
     NonSquarefree,
@@ -17,6 +23,7 @@ from quartic_cones.octad import (
     bitangent_line,
     configs_projectively_equivalent,
     cremona_octad,
+    det_nonzero_mod_p,
     dual_point_of_line,
     eighth_point,
     gale_transform,
@@ -27,10 +34,10 @@ from quartic_cones.octad import (
     quadric_eval,
     steinerian_point,
 )
-from quartic_cones.polycore import matrix_rank
+from quartic_cones.polycore import det_fraction, matrix_rank
 from quartic_cones.polyio import parse_poly
 
-from conftest import STANDARD_HEPTAD
+from conftest import SEED1_HEPTADS, STANDARD_HEPTAD
 
 TWISTED_CUBIC = [(1, t, t * t, t * t * t) for t in range(7)]
 COPLANAR = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
@@ -153,6 +160,84 @@ class TestEighthPoint:
         net = net_from_heptad(TWISTED_CUBIC)
         with pytest.raises(OctadError):
             eighth_point(net, rng=random.Random(2))
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def scaled_integer_det(rows):
+    """det_fraction(rows) times the row scales that det_nonzero_mod_p applies."""
+    value = det_fraction(rows)
+    for row in rows:
+        value *= math.lcm(*(F(v).denominator for v in row))
+    assert value.denominator == 1
+    return value.numerator
+
+
+class TestModularCertificate:
+    def test_zero_residue_is_no_proof(self):
+        for rows in ([[CERTIFICATE_PRIME]],
+                     [[F(CERTIFICATE_PRIME, 3), 1], [0, 3]],
+                     [[2, 1], [1, F(CERTIFICATE_PRIME + 1, 2)]]):
+            assert det_nonzero_mod_p(rows) is False
+            assert det_fraction(rows) != 0
+
+    def test_singular_and_regular(self):
+        assert det_nonzero_mod_p([[1, 2], [2, 4]]) is False
+        assert det_nonzero_mod_p([[0, F(1, 2)], [F(2, 3), 0]]) is True
+        assert det_nonzero_mod_p([]) is True
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_forced_no_proof_keeps_pinned_points(self, monkeypatch, index):
+        monkeypatch.setattr(octad_mod, "det_nonzero_mod_p", lambda rows: False)
+        exact = count_calls(monkeypatch, octad_mod, "hessian_quartic")
+        net = net_from_heptad(seeded_heptads()[index])
+        p8 = eighth_point(net, rng=random.Random(0)).point(8)
+        assert p8 == tuple(F(c) for c in PINNED_EIGHTH_POINTS[index])
+        assert exact == ["hessian_quartic"]
+
+    def test_coplanar_seed_heptad_rejected(self):
+        net = net_from_heptad(SEED1_HEPTADS[4])
+        with pytest.raises(OctadError, match="not Aronhold"):
+            eighth_point(net)
+
+    def test_random_heptad_certified_without_exact_resultant(self, monkeypatch):
+        quotients = count_calls(monkeypatch, polycore, "macaulay_quotient")
+        octad = eighth_point(net_from_heptad(SEED1_HEPTADS[1]))
+        assert quotients == []
+        assert len(octad.points) == 8
+
+    def test_degenerate_identity_minor_falls_back(self, monkeypatch):
+        quotients = count_calls(monkeypatch, polycore, "macaulay_quotient")
+        octad = eighth_point(net_from_heptad(STANDARD_HEPTAD))
+        assert octad.point(8) == (F(121), F(-22), F(-15), F(-11))
+        # the identity frame's minor vanishes, a random frame's does not
+        assert len(quotients) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_exact_determinant(self, data):
+        n = data.draw(st.integers(1, 4))
+        entry = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if n > 1 and data.draw(st.booleans()):  # a rank-deficient matrix
+            a, b = data.draw(entry), data.draw(entry)
+            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
+        exact = det_fraction(rows)
+        modular = det_nonzero_mod_p(rows)
+        if modular:
+            assert exact != 0
+        if abs(scaled_integer_det(rows)) < CERTIFICATE_PRIME:
+            assert modular == (exact != 0)
 
 
 class TestBitangents:
