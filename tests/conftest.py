@@ -12,6 +12,9 @@ STANDARD_HEPTAD = [
     (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25),
 ]
 SIMPLEX = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+TWISTED_CUBIC = [(1, t, t * t, t * t * t) for t in range(7)]
+COPLANAR = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
+            (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
 # Heptads 1, 2 and 4 of perfbench's octad-pipeline stream at seed 1.
 # Heptad 4's net has dimension 3, but points 2, 4, 5, 6 are coplanar: it
 # is not Aronhold.

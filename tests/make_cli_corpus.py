@@ -25,15 +25,13 @@ import os
 import sys
 import tempfile
 
-from conftest import SEED1_HEPTADS, SIMPLEX, STANDARD_HEPTAD
+from conftest import COPLANAR, SEED1_HEPTADS, SIMPLEX, STANDARD_HEPTAD, TWISTED_CUBIC
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_corpus.json")
 
 # The Cremona centres that perfbench's octad-pipeline stream draws at
 # seed 1 for its heptads 1, 2 and 4.
 SEED1_CENTERS = {1: "1,3,4,5", 2: "1,2,5,6", 4: "2,5,6,8"}
-TWISTED_CUBIC = [(1, t, t * t, t ** 3) for t in range(7)]
-COPLANAR = SIMPLEX[:3] + [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
 COLLINEAR = [(1, i, 0, 0) for i in range(7)]
 
 

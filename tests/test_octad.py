@@ -37,11 +37,7 @@ from quartic_cones.octad import (
 from quartic_cones.polycore import det_fraction, matrix_rank
 from quartic_cones.polyio import parse_poly
 
-from conftest import SEED1_HEPTADS, STANDARD_HEPTAD
-
-TWISTED_CUBIC = [(1, t, t * t, t * t * t) for t in range(7)]
-COPLANAR = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0),
-            (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25)]
+from conftest import COPLANAR, SEED1_HEPTADS, STANDARD_HEPTAD, TWISTED_CUBIC
 
 
 def seeded_heptads(seed=20261018):
