@@ -8,6 +8,7 @@ Modules:
   octad       nets of quadrics, Cayley octads, bitangents, Cremona, Gale
   theta       theta-characteristic combinatorics and Aronhold systems
   cli         command-line frontend
+  record      immutable records for the modules' value classes
 """
 
 __version__ = "0.1.0"

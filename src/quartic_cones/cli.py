@@ -20,17 +20,9 @@ import random
 import sys
 from fractions import Fraction
 
-from . import cone as cone_mod
-from . import covariants as cov
-from .polycore import PolyError, macaulay_resultant_ternary
-from .polyio import (
-    ParseError,
-    parse_point,
-    parse_points_file,
-    parse_poly,
-    print_poly,
-    scan_identifiers,
-)
+# The package's modules are imported in the functions that use them: each
+# job is a fresh process that compiles what it imports, so --help compiles
+# none of them and a theta job only theta.
 
 FORMAT_ENV = "QUARTIC_CONES_FORMAT"
 
@@ -75,6 +67,9 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _load_quartic(path: str):
+    from . import covariants as cov
+    from .polyio import parse_poly, scan_identifiers
+
     try:
         with open(path) as handle:
             text = handle.read()
@@ -89,6 +84,8 @@ def _load_quartic(path: str):
 
 
 def _load_points(path: str, count_options) -> list:
+    from .polyio import parse_points_file
+
     try:
         with open(path) as handle:
             text = handle.read()
@@ -101,10 +98,12 @@ def _load_points(path: str, count_options) -> list:
     return points
 
 
-def _smoothness_report(curve: cov.QuarticCurve, rng) -> dict:
+def _smoothness_report(curve, rng) -> dict:
     if curve.parameters:
         return {"status": "not_evaluated_parametric",
                 "parameters": sorted(curve.parameters)}
+    from .polycore import macaulay_resultant_ternary
+
     res = macaulay_resultant_ternary(curve.poly.partial("x"), curve.poly.partial("y"),
                                      curve.poly.partial("z"), rng=rng)
     return {"status": "evaluated", "macaulay_resultant": _frac(res),
@@ -112,6 +111,9 @@ def _smoothness_report(curve: cov.QuarticCurve, rng) -> dict:
 
 
 def cmd_covariants(args, rng) -> tuple:
+    from . import covariants as cov
+    from .polyio import print_poly
+
     curve, text = _load_quartic(args.quartic)
     pair = cov.covariants(curve)
     G = pair.dual.G
@@ -131,6 +133,9 @@ def cmd_covariants(args, rng) -> tuple:
 
 
 def cmd_j(args, rng) -> tuple:
+    from . import covariants as cov
+    from .polyio import parse_point
+
     curve, text = _load_quartic(args.quartic)
     if curve.parameters:
         raise InputError("j evaluation needs a parameter-free quartic")
@@ -173,9 +178,8 @@ def _aronhold_json(rep) -> dict:
 
 
 def cmd_octad(args, rng) -> tuple:
-    # octad and theta are imported where they are used, so the quartic
-    # subcommands do not compile them at startup
     from . import octad as octad_mod
+    from .polyio import print_poly
 
     action = args.action
     if action in ("check", "net", "hessian", "eighth"):
@@ -283,10 +287,12 @@ def cmd_theta(args, rng) -> tuple:
 
 
 def cmd_s4(args, rng) -> tuple:
+    from . import cone as cone_mod
+    from . import covariants as cov
+    from .polyio import parse_poly, parse_rational, print_poly
+
     raw = args.lam
     if raw != "symbolic":
-        from .polyio import parse_rational
-
         raw = parse_rational(raw)
     family = cone_mod.s4_family(raw)
     report = {
@@ -367,12 +373,17 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args, rng)
-    except (InputError, ParseError, ValueError) as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT
-    except PolyError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_MATH
+    except Exception as err:
+        from .polycore import PolyError
+        from .polyio import ParseError
+
+        if isinstance(err, (InputError, ParseError, ValueError)):
+            sys.stderr.write(f"input error: {err}\n")
+            return EXIT_INPUT
+        if isinstance(err, PolyError):
+            sys.stderr.write(f"error: {err}\n")
+            return EXIT_MATH
+        raise
     if args.verbose:
         sys.stderr.write(f"{report.get('command', args.command)}: "
                          f"{time.perf_counter() - started:.3f}s (seed {args.seed})\n")

@@ -10,7 +10,6 @@ constructs the symmetric one-parameter family with its special surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -23,6 +22,7 @@ from .polycore import (
     det_fraction,
 )
 from .polyio import point_coordinates
+from .record import record
 
 WEIGHTS = {"s": 1, "t": 1, "u": 1, "v": 2, "w": 3}
 COORDS = ("s", "t", "u", "v", "w")
@@ -116,7 +116,7 @@ class WeightedPoint:
         return rational_cbrt(bw / aw) is not None
 
 
-@dataclass(frozen=True)
+@record
 class PluckerCounts:
     delta_o: int
     delta_s: int
@@ -213,7 +213,7 @@ def plucker_ledger(delta_s: int) -> PluckerCounts:
 EXCLUDED_LAMBDA = (Fraction(-2), Fraction(2), Fraction(-1))
 
 
-@dataclass(frozen=True)
+@record
 class S4FamilyData:
     lam: "Fraction | Poly"
     mu: "Fraction | Poly"

@@ -16,7 +16,6 @@ variables; everything downstream stays exact and polynomial in them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -30,6 +29,7 @@ from .polycore import (
     exact_divide,
 )
 from .polyio import point_coordinates
+from .record import record
 
 XYZ = ("x", "y", "z")
 STU = ("s", "t", "u")
@@ -92,7 +92,7 @@ class QuarticCurve:
         return line_restriction(self)
 
 
-@dataclass(frozen=True)
+@record
 class LineRestriction:
     """The five binary-quartic coefficients b0..b4 of the line section."""
 
@@ -102,7 +102,7 @@ class LineRestriction:
         return iter(self.b)
 
 
-@dataclass(frozen=True)
+@record
 class CovariantPair:
     g4: Poly
     g6: Poly
@@ -120,7 +120,7 @@ class CovariantPair:
         return cone_equation(self)
 
 
-@dataclass(frozen=True)
+@record
 class DualCurve:
     G: Poly
 

@@ -16,7 +16,6 @@ prime whenever that residue is nonzero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -42,6 +41,7 @@ from .polycore import (
     univariate_gcd,
 )
 from .polyio import point_coordinates
+from .record import record
 
 # Mersenne prime for the modular smoothness certificate in ``eighth_point``.
 CERTIFICATE_PRIME = 2 ** 61 - 1
@@ -164,14 +164,14 @@ class Octad:
         return self.points[label - 1]
 
 
-@dataclass(frozen=True)
+@record
 class HessianQuartic:
     quartic: Poly
     smooth: bool
     resultant: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class AronholdReport:
     coplanarity: Dict[Tuple[int, int, int, int], Fraction]
     coplanar_quadruples: Tuple[Tuple[int, int, int, int], ...]
@@ -181,7 +181,7 @@ class AronholdReport:
     verdict: bool
 
 
-@dataclass(frozen=True)
+@record
 class PencilFiber:
     netpoints: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     binary_quartic: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
@@ -191,7 +191,7 @@ class PencilFiber:
     j: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class BitangentCertificate:
     pair: Tuple[int, int]
     line: Tuple[Fraction, Fraction, Fraction]
@@ -199,7 +199,7 @@ class BitangentCertificate:
     square_root: Poly
 
 
-@dataclass(frozen=True)
+@record
 class GaleReport:
     points: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
     collinear_triples: Tuple[Tuple[int, int, int], ...]
@@ -207,7 +207,7 @@ class GaleReport:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class CremonaResult:
     octad: Octad
     net: QuadricNet

@@ -386,13 +386,19 @@ def format_poly(p: Poly) -> str:
 def exact_divide(p: Poly, d: Poly) -> Poly:
     """Return q with q*d == p exactly, or raise NotDivisibleError.
 
-    Long division against the single divisor d under graded-lex order.
-    Because leading monomials are multiplicative, the first failed
-    leading-term division already proves non-divisibility, and the
-    offending remainder is the witness.
+    A monomial divisor divides term by term.  Otherwise, or when some
+    term is not divisible, long division against the single divisor d
+    under graded-lex order runs.  Because leading monomials are
+    multiplicative, the first failed leading-term division already
+    proves non-divisibility, and the offending remainder is the witness.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(d.terms) == 1:
+        (lead_d, cd), = d.terms.items()
+        quotient = {_mono_div(m, lead_d): c / cd for m, c in p.terms.items()}
+        if None not in quotient:
+            return Poly._make(quotient, p.variables | d.variables)
     varlist = sorted(p.variables | d.variables)
     lead_d = max(d.terms, key=lambda m: _mono_key(m, varlist)) if d.terms else ()
     cd = d.terms[lead_d]

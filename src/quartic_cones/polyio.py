@@ -19,11 +19,11 @@ literals; '#' starts a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from .polycore import Poly, format_poly
+from .record import record
 
 
 class ParseError(Exception):
@@ -38,7 +38,7 @@ class ParseError(Exception):
         self.column = col
 
 
-@dataclass(frozen=True)
+@record
 class PolySource:
     text: str
     declared_variables: Tuple[str, ...]
@@ -47,7 +47,7 @@ class PolySource:
 AMBIENT_SIZES = {"P2": 3, "P3": 4, "P11123": 5}
 
 
-@dataclass(frozen=True)
+@record
 class PointSource:
     coordinates: Tuple[Fraction, ...]
     ambient: str

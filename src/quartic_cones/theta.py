@@ -14,8 +14,9 @@ sums minus K become plain xor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
+
+from .record import record
 
 ALL_MASK = 0xFF
 
@@ -74,7 +75,7 @@ class ThetaChar:
         return "odd" if (self.weight // 2) % 2 == 1 else "even"
 
     def is_odd(self) -> bool:
-        return self.parity == "odd"
+        return _ODD[self.mask]
 
     def support(self) -> Tuple[int, ...]:
         return tuple(i + 1 for i in range(8) if self.mask >> i & 1)
@@ -100,6 +101,13 @@ class ThetaChar:
         return f"ThetaChar({self.label()})"
 
 
+# _ODD[mask] is the parity of the characteristic of an even-weight mask
+# (None for odd weight), read once from ThetaChar.parity so that the 10,080
+# triple checks of aronhold_enumerate are table lookups
+_ODD = tuple(None if bin(mask).count("1") % 2 else ThetaChar(mask).parity == "odd"
+             for mask in range(256))
+
+
 def build_model() -> List[ThetaChar]:
     """All 64 characteristics: theta0, 28 odd pairs, 35 other evens."""
     seen = {}
@@ -117,12 +125,17 @@ def odd_characteristics() -> List[ThetaChar]:
     return [ThetaChar.from_pair(i, j) for i, j in itertools.combinations(range(1, 9), 2)]
 
 
+def _triple_mask(a: ThetaChar, b: ThetaChar, c: ThetaChar) -> int:
+    """The offset mask of theta_a + theta_b + theta_c - K, for odd a, b, c."""
+    for x in (a, b, c):
+        if not _ODD[x.mask]:
+            raise ThetaError(f"triple_sum expects odd characteristics, got {x!r}")
+    return a.mask ^ b.mask ^ c.mask
+
+
 def triple_sum(a: ThetaChar, b: ThetaChar, c: ThetaChar) -> ThetaChar:
     """theta_a + theta_b + theta_c - K, as offset addition."""
-    for x in (a, b, c):
-        if not x.is_odd():
-            raise ThetaError(f"triple_sum expects odd characteristics, got {x!r}")
-    return a + b + c
+    return ThetaChar(_triple_mask(a, b, c))
 
 
 def even_from_heptad(r: int) -> ThetaChar:
@@ -136,7 +149,7 @@ def even_from_heptad(r: int) -> ThetaChar:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class AronholdSystem:
     """Seven odd characteristics with every triple sum minus K even."""
 
@@ -146,7 +159,7 @@ class AronholdSystem:
         if len(self.members) != 7 or len(set(self.members)) != 7:
             raise ThetaError("an Aronhold system has seven distinct members")
         for a, b, c in itertools.combinations(self.members, 3):
-            if triple_sum(a, b, c).is_odd():
+            if _ODD[_triple_mask(a, b, c)]:
                 raise ThetaError(f"triple {a!r},{b!r},{c!r} sums to an odd characteristic")
 
     def even_characteristic(self) -> ThetaChar:

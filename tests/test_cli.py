@@ -209,17 +209,30 @@ class TestDeterminism:
 
 
 class TestStartup:
-    def test_quartic_subcommand_leaves_octad_and_theta_unimported(self, tmp_path):
-        # a fresh interpreter, so no earlier test has imported them already
+    # Each job runs in a fresh interpreter, so no earlier test has imported
+    # anything already.  dataclasses and inspect cost about 11 ms per job,
+    # and a subcommand compiles only the package modules it runs.
+    @pytest.mark.parametrize("argv, absent", [
+        (["covariants", "{quartic}"], ("quartic_cones.octad", "quartic_cones.theta")),
+        (["j", "{quartic}", "--point", "1,2,3"],
+         ("quartic_cones.cone", "quartic_cones.octad", "quartic_cones.theta")),
+        (["s4", "--lambda", "3"], ("quartic_cones.octad", "quartic_cones.theta")),
+        (["octad", "gale", "{heptad}"], ("quartic_cones.cone", "quartic_cones.theta")),
+        (["theta", "count"], ("quartic_cones.cone", "quartic_cones.covariants",
+                              "quartic_cones.octad", "quartic_cones.polycore")),
+    ], ids=["covariants", "j", "s4", "octad-gale", "theta-count"])
+    def test_job_imports_only_what_its_subcommand_needs(self, tmp_path, heptad_file,
+                                                        argv, absent):
         path = tmp_path / "klein.txt"
         path.write_text(KLEIN)
+        argv = [a.format(quartic=str(path), heptad=heptad_file) for a in argv]
+        absent = ("dataclasses", "inspect") + absent
         script = (
             "import contextlib, io, sys\n"
             "from quartic_cones import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main(['covariants', {str(path)!r}]) == 0\n"
-            "print(sorted(m for m in ('quartic_cones.octad', 'quartic_cones.theta')"
-            " if m in sys.modules))\n")
+            f"    assert cli.main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {absent!r} if m in sys.modules))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(quartic_cones.__file__)))
         done = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=src),

@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import pytest
 
+from quartic_cones import theta
 from quartic_cones.theta import (
     AronholdSystem,
     ThetaChar,
@@ -24,6 +26,18 @@ class TestModel:
 
     def test_base_even(self):
         assert ThetaChar.base().parity == "even"
+
+    def test_parity_table_matches_the_weight_parity(self):
+        odd, even = set(), set()
+        for mask in range(256):
+            weight = bin(mask).count("1")
+            if weight % 2:
+                assert theta._ODD[mask] is None
+                continue
+            is_odd = min(weight, 8 - weight) // 2 % 2 == 1
+            assert theta._ODD[mask] is is_odd
+            (odd if is_odd else even).add(ThetaChar(mask))
+        assert (len(odd), len(even)) == (28, 36)
 
     def test_pair_odd_quadruple_even(self):
         assert ThetaChar.from_pair(1, 2).parity == "odd"
@@ -133,6 +147,21 @@ class TestAronhold:
                    ThetaChar.from_pair(1, 6)]
         with pytest.raises(ThetaError):
             AronholdSystem(tuple(members))
+
+    @pytest.mark.parametrize("members, message", [
+        ([(1, 2)] * 2 + [(1, k) for k in range(3, 8)],
+         "an Aronhold system has seven distinct members"),
+        ([(8, k) for k in range(1, 7)] + [(1, 2, 3, 4)],
+         "triple_sum expects odd characteristics, got ThetaChar((1, 2, 3, 4))"),
+        ([(1, 2), (3, 4), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6)],
+         "triple ThetaChar((1, 2)),ThetaChar((3, 4)),ThetaChar((5, 6)) "
+         "sums to an odd characteristic"),
+    ], ids=["duplicate", "even-member", "odd-triple-sum"])
+    def test_rejections_keep_their_messages(self, members, message):
+        chars = tuple(ThetaChar.from_pair(*m) if len(m) == 2 else ThetaChar.from_quadruple(*m)
+                      for m in members)
+        with pytest.raises(ThetaError, match=f"^{re.escape(message)}$"):
+            AronholdSystem(chars)
 
     def test_system_even_characteristic(self):
         members = tuple(ThetaChar.from_pair(8, i) for i in range(1, 8))
