@@ -22,7 +22,7 @@ from fractions import Fraction
 
 # The package's modules are imported in the functions that use them: each
 # job is a fresh process that compiles what it imports, so --help compiles
-# none of them and a theta job only theta.
+# none of them and a theta job only theta and record.
 
 FORMAT_ENV = "QUARTIC_CONES_FORMAT"
 

@@ -135,6 +135,13 @@ class TestExactDivide:
             exact_divide(s ** 2 + t ** 2, u)
         assert err.value.remainder == s ** 2 + t ** 2
 
+    def test_monomial_divisor_keeps_the_long_division_witness(self):
+        # s^2*u divides; s*t does not, so the witness is s*t + u, the
+        # divisible u included, whichever path divides
+        with pytest.raises(NotDivisibleError) as err:
+            exact_divide(s ** 2 * u + s * t + u, u)
+        assert err.value.remainder == s * t + u
+
     def test_klein_h2_over_u4(self):
         # h2 of the Klein quartic, direct from the b-coefficients
         b0, b1, b2, b3, b4 = (-s ** 3 * u, -3 * s ** 2 * t * u + u ** 4,
