@@ -141,15 +141,14 @@ def cmd_j(args, rng) -> tuple:
         raise InputError("j evaluation needs a parameter-free quartic")
     point = parse_point(args.point, "P2")
     pair = cov.covariants(curve)
-    at = {"s": point.coordinates[0], "t": point.coordinates[1],
-          "u": point.coordinates[2]}
+    at = dict(zip("stu", point))
     g4v = pair.g4.eval_at(at)
     g6v = pair.g6.eval_at(at)
     G = 4 * g4v ** 3 - 27 * g6v ** 2
     report = {
         "command": "j",
         "input": text,
-        "point": _point_json(point.coordinates),
+        "point": _point_json(point),
         "g4_value": _frac(g4v),
         "g6_value": _frac(g6v),
         "dual_curve_value": _frac(G),
@@ -204,10 +203,10 @@ def cmd_octad(args, rng) -> tuple:
                 "macaulay_resultant": _frac(hq.resultant)}, EXIT_OK
     if action == "eighth":
         octad = octad_mod.eighth_point(net, rng=rng)
-        verified = all(octad_mod.quadric_eval(m, octad.point(8)) == 0
-                       for m in net.matrices)
+        p8 = octad.point(8)
+        verified = all(octad_mod.quadric_polar(m, p8, p8) == 0 for m in net.matrices)
         return {"command": "octad.eighth",
-                "eighth_point": _point_json(octad.point(8)),
+                "eighth_point": _point_json(p8),
                 "verified_on_generators": verified,
                 "octad": [_point_json(p) for p in octad.points]}, EXIT_OK
 
@@ -239,14 +238,12 @@ def cmd_octad(args, rng) -> tuple:
         from . import theta as theta_mod
 
         result = octad_mod.cremona_octad(octad, center, net=net)
-        old_h = result.normalized_source_net.determinant
-        new_h = result.net.determinant
         label = theta_mod.ThetaChar.from_quadruple(*center).label()
         return {"command": "octad.cremona",
                 "center": list(center),
                 "center_theta_label": list(label) if isinstance(label, tuple) else label,
                 "determinant_preserved": result.det_preserved,
-                "hessian_scalar_equal": old_h == new_h,
+                "hessian_scalar_equal": result.det_preserved,
                 "new_octad": [_point_json(p) for p in result.octad.points],
                 "new_net": [_matrix_json(m) for m in result.net.matrices],
                 "normalized_source_net":

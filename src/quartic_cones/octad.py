@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import covariants as cov
 from .polycore import (
     Poly,
     PolyError,
@@ -77,19 +76,14 @@ def normalize_point(p) -> Tuple[Fraction, ...]:
     return tuple(clear_denominators(point_coordinates(p, "P3")))
 
 
-def points_equal(p, q) -> bool:
-    return normalize_point(p) == normalize_point(q)
+def quadric_polar(matrix, p, q) -> Fraction:
+    """The bilinear form p^T matrix q on coordinate tuples of P3."""
+    return sum(p[i] * matrix[i][j] * q[j] for i in range(4) for j in range(4))
 
 
 def quadric_eval(matrix, p) -> Fraction:
-    coords = point_coordinates(p, "P3")
-    return sum(coords[i] * matrix[i][j] * coords[j]
-               for i in range(4) for j in range(4))
-
-
-def quadric_polar(matrix, p, q) -> Fraction:
-    cp, cq = point_coordinates(p, "P3"), point_coordinates(q, "P3")
-    return sum(cp[i] * matrix[i][j] * cq[j] for i in range(4) for j in range(4))
+    c = point_coordinates(p, "P3")
+    return quadric_polar(matrix, c, c)
 
 
 class QuadricNet:
@@ -116,7 +110,7 @@ class QuadricNet:
         self.basepoints = tuple(normalize_point(p) for p in basepoints)
         for p in self.basepoints:
             for m in self.matrices:
-                if quadric_eval(m, p) != 0:
+                if quadric_polar(m, p, p) != 0:
                     raise OctadError(f"stored base point {p} is not on every generator")
 
     def matrix_at(self, xyz) -> List[List[Fraction]]:
@@ -153,7 +147,7 @@ class Octad:
             if net is not None:
                 for p in pts:
                     for m in net.matrices:
-                        if quadric_eval(m, p) != 0:
+                        if quadric_polar(m, p, p) != 0:
                             raise OctadError(f"point {p} is off the net")
         self.points = pts
         self.net = net
@@ -216,8 +210,7 @@ class CremonaResult:
 
 
 def _quadric_row(p) -> List[Fraction]:
-    c = point_coordinates(p, "P3")
-    return [c[i] * c[j] for i, j in QUADRIC_MONOMIALS]
+    return [p[i] * p[j] for i, j in QUADRIC_MONOMIALS]
 
 
 def _vector_to_matrix(vec: Sequence[Fraction]) -> List[List[Fraction]]:
@@ -426,9 +419,7 @@ def bitangent_line(octad: Octad, net: QuadricNet, i: int, j: int) -> BitangentCe
         raise OctadError(f"need 1 <= i < j <= 8, got ({i}, {j})")
     pi, pj = octad.point(i), octad.point(j)
     third = [a + b for a, b in zip(pi, pj)]
-    conditions = []
-    for pt in (pi, pj, third):
-        conditions.append([quadric_eval(m, pt) for m in net.matrices])
+    conditions = [[quadric_polar(m, pt, pt) for m in net.matrices] for pt in (pi, pj, third)]
     rank = matrix_rank(conditions)
     if rank != 1:
         raise OctadError(f"pencil through line ({i},{j}) has condition rank {rank}, "
@@ -480,6 +471,8 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     cross-ratio of the four singular parameters whenever those are found
     rational.  The two routes must agree.
     """
+    from . import covariants as cov  # here, so that no CLI job compiles it
+
     p1 = point_coordinates(netpoint1, "P2")
     p2 = point_coordinates(netpoint2, "P2")
     if matrix_rank([list(p1), list(p2)]) != 2:

@@ -662,9 +662,13 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     return matrix_rank(rows) == len(target)
 
 
-def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly,
-                               variables: Sequence[str] = ("x", "y", "z"),
-                               rng=None, max_retries: int = 8) -> Fraction:
+# The variables of macaulay_resultant_ternary's forms, and how many random
+# coordinate changes it tries after the identity frame.
+TERNARY_VARIABLES = ("x", "y", "z")
+MACAULAY_RETRIES = 8
+
+
+def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly, rng=None) -> Fraction:
     """Macaulay resultant of three ternary forms of one common degree.
 
     Zero exactly when the forms share a projective zero over the complex
@@ -676,7 +680,7 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly,
     critical-degree rank test and reported as resultant zero.
     """
     forms = [f1, f2, f3]
-    vs = tuple(variables)
+    vs = TERNARY_VARIABLES
     degs = []
     for f in forms:
         extra = f.variables - set(vs)
@@ -696,7 +700,7 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly,
         raise DegreeError("forms must have positive degree")
 
     current = forms
-    for attempt in range(max_retries + 1):
+    for attempt in range(MACAULAY_RETRIES + 1):
         quotient, _ = macaulay_quotient(current, vs, (d, d, d))
         if quotient is not None:
             return quotient.constant_value()
@@ -733,15 +737,12 @@ def rational_sqrt(c: Fraction) -> Optional[Fraction]:
 
 
 def rational_cbrt(c: Fraction) -> Optional[Fraction]:
+    """Exact rational cube root of c, or None when c is not a cube."""
     c = Fraction(c)
-    sign = -1 if c < 0 else 1
     n, d = abs(c.numerator), c.denominator
-    rn = round(n ** (1 / 3)) if n < 1 << 50 else _icbrt(n)
-    rd = round(d ** (1 / 3)) if d < 1 << 50 else _icbrt(d)
-    for a in (rn - 1, rn, rn + 1):
-        for b in (rd - 1, rd, rd + 1):
-            if a >= 0 and b >= 1 and a ** 3 == n and b ** 3 == d:
-                return Fraction(sign * a, b)
+    rn, rd = _icbrt(n), _icbrt(d)
+    if rn ** 3 == n and rd ** 3 == d:
+        return Fraction(rn if c >= 0 else -rn, rd)
     return None
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .polycore import Poly, format_poly
-from .record import record
 
 
 class ParseError(Exception):
@@ -38,46 +37,25 @@ class ParseError(Exception):
         self.column = col
 
 
-@record
-class PolySource:
-    text: str
-    declared_variables: Tuple[str, ...]
-
-
 AMBIENT_SIZES = {"P2": 3, "P3": 4, "P11123": 5}
-
-
-@record
-class PointSource:
-    coordinates: Tuple[Fraction, ...]
-    ambient: str
-
-    def __post_init__(self):
-        if self.ambient not in AMBIENT_SIZES:
-            raise ValueError(f"unknown ambient {self.ambient!r}")
-        if len(self.coordinates) != AMBIENT_SIZES[self.ambient]:
-            raise ValueError(
-                f"{self.ambient} point needs {AMBIENT_SIZES[self.ambient]} "
-                f"coordinates, got {len(self.coordinates)}")
-        coords = tuple(Fraction(c) for c in self.coordinates)
-        if all(c == 0 for c in coords):
-            raise ValueError("projective point must have a nonzero coordinate")
-        object.__setattr__(self, "coordinates", coords)
 
 
 def point_coordinates(p, ambient: str) -> Tuple[Fraction, ...]:
     """Rational coordinates of a point of ``ambient``, the package's one point coercion.
 
-    A PointSource must already live in ``ambient``; any other sequence is
-    checked by building a PointSource from it.  Either way a point of the
-    wrong ambient or length, or with no nonzero coordinate, raises
-    ValueError.
+    ``p`` is any sequence of rationals.  An unknown ambient, the wrong
+    number of coordinates for it, or no nonzero coordinate raises
+    ValueError, checked in that order.
     """
-    if isinstance(p, PointSource):
-        if p.ambient != ambient:
-            raise ValueError(f"expected a point of {ambient}, got a point of {p.ambient}")
-        return p.coordinates
-    return PointSource(tuple(p), ambient).coordinates
+    if ambient not in AMBIENT_SIZES:
+        raise ValueError(f"unknown ambient {ambient!r}")
+    if len(p) != AMBIENT_SIZES[ambient]:
+        raise ValueError(f"{ambient} point needs {AMBIENT_SIZES[ambient]} "
+                         f"coordinates, got {len(p)}")
+    coords = tuple(Fraction(c) for c in p)
+    if not any(coords):
+        raise ValueError("projective point must have a nonzero coordinate")
+    return coords
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[a-zA-Z][a-zA-Z0-9]*)"
@@ -113,7 +91,7 @@ class _Tokens:
 
 
 class _Parser:
-    def __init__(self, text: str, declared: Sequence[str]):
+    def __init__(self, text: str, declared: Iterable[str]):
         self.text = text
         self.declared = set(declared)
         self.tokens = _Tokens(text)
@@ -192,18 +170,13 @@ class _Parser:
                   if kind != "eof" else "unexpected end of input", pos)
 
 
-def parse_poly(src: PolySource | str, declared_variables: Iterable[str] = ()) -> Poly:
-    """Parse an expression into an exact Poly.
+def parse_poly(src: str, declared_variables: Iterable[str] = ()) -> Poly:
+    """Parse an expression into an exact Poly over the declared variables.
 
-    Accepts either a PolySource or a plain string with the variable list
-    passed separately.  Undeclared identifiers, malformed syntax, and
-    non-natural exponents raise ParseError with position information.
+    Undeclared identifiers, malformed syntax, and non-natural exponents
+    raise ParseError with position information.
     """
-    if isinstance(src, PolySource):
-        text, declared = src.text, src.declared_variables
-    else:
-        text, declared = src, tuple(declared_variables)
-    return _Parser(text, declared).parse()
+    return _Parser(src, declared_variables).parse()
 
 
 def scan_identifiers(text: str) -> Tuple[str, ...]:
@@ -231,13 +204,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group(1)), den)
 
 
-def parse_point(text: str, ambient: str) -> PointSource:
-    parts = text.split(",")
-    coords = tuple(parse_rational(part) for part in parts)
-    return PointSource(coords, ambient)
+def parse_point(text: str, ambient: str) -> Tuple[Fraction, ...]:
+    """Comma-separated rational coordinates of a point of ``ambient``."""
+    return point_coordinates([parse_rational(part) for part in text.split(",")], ambient)
 
 
-def parse_points_file(text: str, ambient: str) -> List[PointSource]:
+def parse_points_file(text: str, ambient: str) -> List[Tuple[Fraction, ...]]:
     """One point per line, comma-separated rationals, '#' comments."""
     points = []
     for raw in text.splitlines():

@@ -11,8 +11,7 @@ def record(cls):
     keyword, then ``__post_init__`` if the class defines one; field-wise
     ``==``, ``hash`` and ``repr``; assignment and deletion raise
     AttributeError.  Instances keep a ``__dict__``, so
-    ``functools.cached_property`` works, and ``__post_init__`` may
-    normalise a field with ``object.__setattr__``.
+    ``functools.cached_property`` works.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     post_init = getattr(cls, "__post_init__", None)

@@ -26,9 +26,14 @@ class ThetaError(Exception):
 
 
 def _canonical(mask: int) -> int:
-    if bin(mask).count("1") % 2:
+    """The lower-weight of a mask and its complement; of two 4-subsets, the one with label 1."""
+    mask &= ALL_MASK
+    weight = bin(mask).count("1")
+    if weight % 2:
         raise ThetaError("offsets live in the even-weight subspace")
-    return min(mask & ALL_MASK, (mask ^ ALL_MASK) & ALL_MASK)
+    if weight > 4 or (weight == 4 and not mask & 1):
+        return mask ^ ALL_MASK
+    return mask
 
 
 class ThetaChar:
@@ -81,7 +86,7 @@ class ThetaChar:
         return tuple(i + 1 for i in range(8) if self.mask >> i & 1)
 
     def label(self):
-        """"theta0", a pair (i,j), or the lexicographically minimal 4-subset."""
+        """"theta0", a pair (i,j), or the 4-subset that contains label 1."""
         if self.mask == 0:
             return "theta0"
         return self.support()

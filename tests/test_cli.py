@@ -217,7 +217,8 @@ class TestStartup:
         (["j", "{quartic}", "--point", "1,2,3"],
          ("quartic_cones.cone", "quartic_cones.octad", "quartic_cones.theta")),
         (["s4", "--lambda", "3"], ("quartic_cones.octad", "quartic_cones.theta")),
-        (["octad", "gale", "{heptad}"], ("quartic_cones.cone", "quartic_cones.theta")),
+        (["octad", "gale", "{heptad}"], ("quartic_cones.cone", "quartic_cones.covariants",
+                                         "quartic_cones.theta")),
         (["theta", "count"], ("quartic_cones.cone", "quartic_cones.covariants",
                               "quartic_cones.octad", "quartic_cones.polycore")),
     ], ids=["covariants", "j", "s4", "octad-gale", "theta-count"])

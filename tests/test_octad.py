@@ -30,7 +30,6 @@ from quartic_cones.octad import (
     hessian_quartic,
     net_from_heptad,
     pencil_fiber,
-    points_equal,
     quadric_eval,
     steinerian_point,
 )
@@ -142,7 +141,7 @@ class TestEighthPoint:
             labels = [i for i in range(1, 9) if i != omit]
             subnet = net_from_heptad([standard_octad.point(i) for i in labels])
             rederived = eighth_point(subnet, rng=random.Random(1))
-            assert points_equal(rederived.point(8), standard_octad.point(omit))
+            assert rederived.point(8) == standard_octad.point(omit)
 
     @pytest.mark.parametrize("index", range(6))
     def test_pinned_seeded_heptads(self, index):

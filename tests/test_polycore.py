@@ -325,6 +325,17 @@ class TestRationalHelpers:
         assert rational_cbrt(F(-27)) == -3
         assert rational_cbrt(F(2)) is None
 
+    def test_cbrt_is_exact_on_large_and_signed_values(self):
+        root = (1 << 17) + 3
+        cube = root ** 3
+        assert cube > 1 << 50
+        assert rational_cbrt(F(cube)) == root
+        assert rational_cbrt(F(cube - 1)) is None
+        assert rational_cbrt(F(cube + 1)) is None
+        assert rational_cbrt(F(-cube, 343)) == F(-root, 7)
+        assert rational_cbrt(F(-cube, 342)) is None
+        assert rational_cbrt(F(0)) == 0
+
     def test_rational_roots(self):
         p = (x - 1) * (x - 2) * (3 * x + 1)
         assert sorted(rational_roots(p, "x")) == [F(-1, 3), F(1), F(2)]

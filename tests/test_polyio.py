@@ -1,18 +1,20 @@
+import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartic_cones import cli, cone, octad, polyio
+from quartic_cones import covariants as covariants_mod
 from quartic_cones.cone import classify_and_lift
 from quartic_cones.covariants import QuarticCurve, covariants, j_eval
 from quartic_cones.octad import QuadricNet, normalize_point, pencil_fiber, steinerian_point
 from quartic_cones.polycore import Poly
 from quartic_cones.polyio import (
     ParseError,
-    PointSource,
-    PolySource,
     parse_point,
     parse_points_file,
     parse_poly,
@@ -21,6 +23,8 @@ from quartic_cones.polyio import (
     print_poly,
     scan_identifiers,
 )
+
+from conftest import STANDARD_HEPTAD
 
 
 class TestParse:
@@ -65,10 +69,6 @@ class TestParse:
         p = parse_poly("a310*u^4", ["a310", "u"])
         assert p == Poly.var("a310") * Poly.var("u") ** 4
 
-    def test_polysource(self):
-        src = PolySource("x + y", ("x", "y"))
-        assert parse_poly(src) == Poly.var("x") + Poly.var("y")
-
     def test_declared_but_unused_stays_in_scope(self):
         p = parse_poly("x", ("x", "y"))
         assert "y" in p.variables
@@ -103,19 +103,19 @@ class TestPoints:
         text = "# a comment\n1,0,0,0\n0,1,0,0  # e2\n-1/2, 3, 4, 5\n"
         pts = parse_points_file(text, "P3")
         assert len(pts) == 3
-        assert pts[2].coordinates == (F(-1, 2), F(3), F(4), F(5))
+        assert pts[2] == (F(-1, 2), F(3), F(4), F(5))
 
     def test_ambient_sizes(self):
-        assert len(parse_point("1,2,3", "P2").coordinates) == 3
-        assert len(parse_point("1,2,3,4,5", "P11123").coordinates) == 5
+        assert parse_point("1,2,3", "P2") == (F(1), F(2), F(3))
+        assert len(parse_point("1,2,3,4,5", "P11123")) == 5
         with pytest.raises(ValueError):
             parse_point("1,2", "P2")
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
-            PointSource((F(0), F(0), F(0)), "P2")
+            point_coordinates((F(0), F(0), F(0)), "P2")
         with pytest.raises(ValueError):  # zero is checked after conversion
-            PointSource(("0", "0/1", "0"), "P2")
+            point_coordinates(("0", "0/1", "0"), "P2")
 
     def test_rational_literals(self):
         assert parse_rational("-3/4") == F(-3, 4)
@@ -142,9 +142,9 @@ POINT_CALLERS = {
 
 MALFORMED_POINTS = {
     "P2": {"zero": (0, 0, 0), "wrong_length": (1, 0),
-           "wrong_ambient": PointSource((1, 0, 0, 0), "P3")},
+           "wrong_ambient": (1, 0, 0, 0)},
     "P3": {"zero": (0, 0, 0, 0), "wrong_length": (1, 0, 0),
-           "wrong_ambient": PointSource((1, 0, 0), "P2")},
+           "wrong_ambient": (1, 0, 0)},
 }
 
 
@@ -164,6 +164,34 @@ def test_malformed_point_raises_value_error(caller, kind, klein_pair):
 def test_point_coordinates():
     assert point_coordinates((1, "1/2", 0), "P2") == (F(1), F(1, 2), F(0))
     assert point_coordinates(parse_point("1,2,3,4", "P3"), "P3") == (F(1), F(2), F(3), F(4))
+
+
+@pytest.mark.parametrize("point, ambient, message", [
+    ((0, 0), "P9", "unknown ambient 'P9'"),
+    (("x", 0), "P2", "P2 point needs 3 coordinates, got 2"),
+    (("x", 0, 0), "P2", "Invalid literal for Fraction: 'x'"),
+    (("0", "0/1", 0), "P2", "projective point must have a nonzero coordinate"),
+], ids=["unknown-ambient", "wrong-length", "not-rational", "zero"])
+def test_point_coordinates_checks_in_order(point, ambient, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        point_coordinates(point, ambient)
+
+
+def test_bitangents_job_coerces_each_point_once(monkeypatch, tmp_path, capsys):
+    # 7 parsed points, 7 in net_from_heptad, 7 net base points, 8 octad points
+    calls = []
+
+    def counting(p, ambient):
+        calls.append(ambient)
+        return point_coordinates(p, ambient)
+
+    for module in (polyio, octad, covariants_mod, cone):
+        monkeypatch.setattr(module, "point_coordinates", counting)
+    path = tmp_path / "heptad.txt"
+    path.write_text("\n".join(",".join(map(str, p)) for p in STANDARD_HEPTAD) + "\n")
+    assert cli.main(["octad", "bitangents", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 28
+    assert len(calls) < 50
 
 
 def test_scan_identifiers():

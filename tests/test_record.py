@@ -8,7 +8,7 @@ deletion that raise AttributeError, and field-wise ``==``, ``hash`` and
 
 import pytest
 
-from quartic_cones import cone, covariants, octad, polyio, theta
+from quartic_cones import cone, covariants, octad, theta
 
 
 def _star(i):
@@ -20,15 +20,13 @@ def _star(i):
 # check the types of its fields.
 VALIDATED = [
     (cone.PluckerCounts, (28, 0, 24), (27, 1, 22), ((1, 2, 3), cone.InfeasibleCounts)),
-    (polyio.PointSource, ((1, 0, 0), "P2"), ((0, 1, 0), "P2"),
-     (((1, 0, 0), "P9"), ValueError)),
     (theta.AronholdSystem, (_star(8),), (_star(1),),
      ((_star(8)[:6] + _star(8)[:1],), theta.ThetaError)),
 ]
 UNVALIDATED = [
     covariants.LineRestriction, covariants.CovariantPair, covariants.DualCurve,
     cone.S4FamilyData, octad.HessianQuartic, octad.AronholdReport, octad.PencilFiber,
-    octad.BitangentCertificate, octad.GaleReport, octad.CremonaResult, polyio.PolySource,
+    octad.BitangentCertificate, octad.GaleReport, octad.CremonaResult,
 ]
 CASES = VALIDATED + [
     (cls, tuple(f"{name}-1" for name in cls.__annotations__),

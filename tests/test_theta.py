@@ -61,6 +61,20 @@ class TestModel:
         assert ThetaChar.from_pair(2, 7).label() == (2, 7)
         assert ThetaChar.from_quadruple(5, 6, 7, 8).label() == (1, 2, 3, 4)
 
+    def test_labels_are_canonical(self):
+        # the lower-weight representative; of two 4-subsets, the one with label 1
+        for mask in range(256):
+            if bin(mask).count("1") % 2 or mask in (0, 0xFF):
+                continue
+            c = ThetaChar(mask)
+            if c.is_odd():
+                assert len(c.label()) == 2
+            else:
+                assert len(c.label()) == 4 and 1 in c.label()
+        assert ThetaChar.from_pair(1, 8).label() == (1, 8)
+        assert ThetaChar.from_quadruple(1, 6, 7, 8).label() == (1, 6, 7, 8)
+        assert ThetaChar.from_quadruple(2, 3, 4, 5).label() == (1, 6, 7, 8)
+
     def test_bad_labels(self):
         with pytest.raises(ThetaError):
             ThetaChar.from_pair(1, 1)
