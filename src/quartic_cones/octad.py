@@ -471,7 +471,7 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     cross-ratio of the four singular parameters whenever those are found
     rational.  The two routes must agree.
     """
-    from . import covariants as cov  # here, so that no CLI job compiles it
+    from . import covariants as cov  # imported here: no CLI job runs pencil_fiber
 
     p1 = point_coordinates(netpoint1, "P2")
     p2 = point_coordinates(netpoint2, "P2")

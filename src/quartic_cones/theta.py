@@ -27,10 +27,10 @@ class ThetaError(Exception):
 
 def _canonical(mask: int) -> int:
     """The lower-weight of a mask and its complement; of two 4-subsets, the one with label 1."""
+    if bin(mask).count("1") % 2:
+        raise ThetaError("offsets live in the even-weight subspace")
     mask &= ALL_MASK
     weight = bin(mask).count("1")
-    if weight % 2:
-        raise ThetaError("offsets live in the even-weight subspace")
     if weight > 4 or (weight == 4 and not mask & 1):
         return mask ^ ALL_MASK
     return mask
