@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polycore import (
     Poly,
     PolyError,
     PolyMatrix,
+    _integer_rows,
     clear_denominators,
     coefficients_multi,
     congruence,
@@ -113,18 +113,15 @@ class QuadricNet:
                 if quadric_polar(m, p, p) != 0:
                     raise OctadError(f"stored base point {p} is not on every generator")
 
-    def matrix_at(self, xyz) -> List[List[Fraction]]:
-        x, y, z = (Fraction(c) for c in xyz)
+    def matrix_at(self, xyz) -> List[List]:
+        """x A0 + y A1 + z A2 at a checked point (x, y, z), or at Polys x, y, z."""
+        x, y, z = xyz
         a0, a1, a2 = self.matrices
         return [[x * a0[i][j] + y * a1[i][j] + z * a2[i][j] for j in range(4)]
                 for i in range(4)]
 
     def symbol_matrix(self) -> PolyMatrix:
-        x, y, z = (Poly.var(n) for n in "xyz")
-        a0, a1, a2 = self.matrices
-        entries = [[x * a0[i][j] + y * a1[i][j] + z * a2[i][j] for j in range(4)]
-                   for i in range(4)]
-        return PolyMatrix(entries, symmetric=True)
+        return PolyMatrix(self.matrix_at([Poly.var(n) for n in "xyz"]), symmetric=True)
 
     @cached_property
     def determinant(self) -> Poly:
@@ -293,16 +290,13 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
 def det_nonzero_mod_p(rows: Sequence[Sequence[Fraction | int]]) -> bool:
     """True when a residue mod ``CERTIFICATE_PRIME`` proves det(rows) != 0.
 
-    Each row is scaled to integers by the lcm of its denominators, as in
-    ``det_fraction``, and the integer matrix is reduced by Gaussian
+    The rows are scaled to integers as in ``det_fraction``
+    (``_integer_rows``), and the integer matrix is reduced by Gaussian
     elimination mod p.  A nonzero residue proves the determinant nonzero;
     False means no proof: the determinant is zero or divisible by p.
     """
     p = CERTIFICATE_PRIME
-    m = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) % p for v in row])
+    m = [[v % p for v in row] for row in _integer_rows(rows)[0]]
     n = len(m)
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if m[i][k]), None)

@@ -25,12 +25,12 @@ used by the rest of the package: cofactor and fraction-free (Bareiss)
 determinants of polynomial matrices, Sylvester resultants, the Macaulay
 resultant of three ternary forms with rational coefficients,
 perfect-square detection, and exact linear algebra over the rationals:
-rref, rank, nullspace, the determinant (integer Bareiss after scaling
-each row to integers, also the kernel of every Macaulay certificate),
-inverse, matrix-vector products, the congruence s^T m s that moves a
-quadratic form to new coordinates, and random invertible integer
-matrices for changes of frame.  These matrix helpers are the package's
-only rational linear-algebra layer.
+the determinant and the rank (the same Bareiss elimination, on rows
+scaled to integers; the determinant is the kernel of every Macaulay
+certificate), rref for nullspace and inverse, matrix-vector products,
+the congruence s^T m s that moves a quadratic form to new coordinates,
+and random invertible integer matrices for changes of frame.  These
+matrix helpers are the package's only rational linear-algebra layer.
 """
 
 from __future__ import annotations
@@ -272,6 +272,12 @@ class Poly:
             return Poly._make({m: v / c for m, v in self.terms.items()}, self.variables)
         return NotImplemented
 
+    def __floordiv__(self, other):
+        """Exact quotient: ``exact_divide`` by a Poly, ``self / other`` by a scalar."""
+        if isinstance(other, Poly):
+            return exact_divide(self, other)
+        return self / other
+
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise PolyError("exponent must be a non-negative integer")
@@ -454,7 +460,10 @@ class PolyMatrix:
         return _det_cofactor(self.entries)
 
     def det_bareiss(self) -> Poly:
-        return _det_bareiss([list(row) for row in self.entries])
+        rank, d = _bareiss([list(row) for row in self.entries])
+        if rank < self.n:
+            return Poly.zero()
+        return d if self.n else Poly.const(1)
 
 
 def _det_cofactor(rows) -> Poly:
@@ -474,28 +483,34 @@ def _det_cofactor(rows) -> Poly:
     return total
 
 
-def _det_bareiss(m) -> Poly:
-    """Bareiss fraction-free elimination; divisions are exact in Q[x...]."""
-    n = len(m)
-    if n == 0:
-        return Poly.const(1)
-    sign = 1
-    prev = Poly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return Poly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+def _bareiss(m):
+    """Fraction-free (Bareiss 1968) echelon form of m, in place; ints or Polys.
+
+    A column's pivot is its first nonzero entry at or below the current
+    row, swapped up with a sign flip; a column without one is skipped.
+    Entries stay minors of m, so each ``//`` by the previous pivot is
+    exact.  Returns (rank, ±last pivot), which is det m when m is square
+    and of full rank.
+    """
+    n_rows = len(m)
+    sign, prev, r = 1, 1, 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+        top = m[r]
+        pivot = top[c]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            a = row[c]
+            m[i] = [0] * (c + 1) + [(pivot * b - a * t) // prev
+                                    for b, t in zip(row[c + 1:], top[c + 1:])]
+        prev = pivot
+        r += 1
+    return r, prev if sign == 1 else -prev
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +642,10 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
                       degrees: Sequence[int]):
     """Classical Macaulay construction for n forms in n variables.
 
-    Returns (quotient, det_minor): the resultant candidate det(M)/det(M')
-    and the minor that was divided out.  When det(M') is zero the pair
-    (None, zero) is returned and the caller decides how to recover
-    (typically by a random linear change of coordinates).
+    Returns (quotient, det_minor) as Fractions: the resultant candidate
+    det(M)/det(M') and the minor that was divided out.  When det(M') is
+    zero the pair (None, Fraction(0)) is returned and the caller decides
+    how to recover (typically by a random linear change of coordinates).
 
     M and M' come from ``macaulay_matrix``.  Both determinants come from
     the integer kernel of ``det_fraction`` (the minor first, so a
@@ -639,8 +654,8 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     rows, keep = macaulay_matrix(forms, variables, degrees)
     minor_value = det_fraction([[rows[r][c] for c in keep] for r in keep])
     if minor_value == 0:
-        return None, Poly.zero()
-    return Poly.const(det_fraction(rows) / minor_value), Poly.const(minor_value)
+        return None, minor_value
+    return det_fraction(rows) / minor_value, minor_value
 
 
 def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
@@ -703,7 +718,7 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly, rng=None) -> Fracti
     for attempt in range(MACAULAY_RETRIES + 1):
         quotient, _ = macaulay_quotient(current, vs, (d, d, d))
         if quotient is not None:
-            return quotient.constant_value()
+            return quotient
         if attempt == 1 and not ideal_spans_critical_degree(forms, vs, (d, d, d)):
             return Fraction(0)
         if rng is None:
@@ -924,15 +939,8 @@ def _dense_deflate(coeffs: Sequence, root: Fraction) -> list:
 # Exact linear algebra over the rationals (dense, small matrices)
 
 
-def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Each row is scaled to integers by the lcm of its denominators, and the
-    integer matrix is reduced by Bareiss elimination: the same pivot rule
-    as ``_det_bareiss`` (swap in the first nonzero row below, flip the
-    sign), with every division by the previous pivot exact.  The result is
-    the integer determinant over the product of the row scales.
-    """
+def _integer_rows(rows: Sequence[Sequence[Fraction]]):
+    """(m, scale): each row times the lcm of its denominators, and the product of those lcms."""
     m = []
     scale = 1
     for row in rows:
@@ -940,27 +948,20 @@ def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         row_scale = lcm(*(f.denominator for f in fracs))
         m.append([f.numerator * (row_scale // f.denominator) for f in fracs])
         scale *= row_scale
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            m[i] = [0] * (k + 1) + [(pivot * b - a * c) // prev
-                                    for b, c in zip(row[k + 1:], top[k + 1:])]
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return m, scale
+
+
+def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a square rational matrix.
+
+    Each row is scaled to integers (``_integer_rows``) and the integer
+    matrix is reduced by ``_bareiss``, the elimination that
+    ``PolyMatrix.det_bareiss`` runs on polynomials.  The result is the
+    integer determinant over the product of the row scales.
+    """
+    m, scale = _integer_rows(rows)
+    rank, d = _bareiss(m)
+    return Fraction(d, scale) if rank == len(m) else Fraction(0)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
@@ -990,7 +991,8 @@ def rref(rows: Sequence[Sequence[Fraction]]):
 
 
 def matrix_rank(rows) -> int:
-    return len(rref(rows)[1])
+    """Rank of a rational matrix: ``_bareiss`` on its rows scaled to integers."""
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list:

@@ -1,6 +1,7 @@
 """Oracles for the scalar kernel that do not run through it.
 
-``det_fraction`` is compared with SymPy's determinant, and the Macaulay
+``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
+determinant, and the Macaulay
 quotient is checked against two identities of the resultant that hold for
 any correct kernel: homogeneity in each form and the transformation rule
 under a linear change of coordinates.
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quartic_cones.polycore import Poly, det_fraction, macaulay_quotient
+from quartic_cones.polycore import Poly, PolyMatrix, det_fraction, macaulay_quotient
 
 
 def sympy_det(rows):
@@ -64,6 +65,56 @@ def test_det_fraction_empty_matrix():
     assert det_fraction([]) == 1
 
 
+def to_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in mono))
+                for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+def assert_det_bareiss_matches_sympy(entries):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix([[to_sympy(e) for e in row] for row in entries]).det()
+    got = PolyMatrix(entries).det_bareiss()
+    assert sympy.expand(to_sympy(got) - expected) == 0
+
+
+x, y = Poly.var("x"), Poly.var("y")
+SMALL_POLYS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2),
+                        st.integers(0, 2)).map(
+    lambda c: c[0] * x ** c[3] + c[1] * y + Poly.const(c[2]))
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    m = [[draw(SMALL_POLYS) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):  # singular: one column a multiple of another
+        i, j = draw(st.permutations(range(n)))[:2]
+        factor = draw(SMALL_POLYS)
+        for row in m:
+            row[j] = factor * row[i]
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_matrices())
+def test_det_bareiss_matches_sympy(entries):
+    assert_det_bareiss_matches_sympy(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    # zero first column: no pivot there, the other columns still have two
+    [[Poly.zero(), x, y], [Poly.zero(), y, x], [Poly.zero(), x + y, Poly.const(1)]],
+    # column 1 has no pivot once column 0 is eliminated, column 2 has one
+    [[x, y, Poly.const(1)], [2 * x, 2 * y, y], [x, y, x]],
+    # zero first pivot: the second row is swapped up
+    [[Poly.zero(), x, y], [y, Poly.const(2), x], [x, y, Poly.const(1)]],
+])
+def test_det_bareiss_singular_and_swapped_match_sympy(entries):
+    assert_det_bareiss_matches_sympy(entries)
+
+
 def form_from(coeffs, d):
     monos = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
     terms = {tuple((v, e) for v, e in zip("xyz", mono) if e): F(c)
@@ -84,7 +135,7 @@ def quotient(fs, d):
     # rescales it, so neither identity applies to that path; skip the draw.
     assume(q is not None)
     assert minor != 0
-    return q.constant_value()
+    return q
 
 
 def det3(s):

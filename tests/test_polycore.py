@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quartic_cones.octad import hessian_quartic, net_from_heptad
@@ -33,6 +33,7 @@ from quartic_cones.polycore import (
     rational_roots,
     rational_sqrt,
     resultant_bivariate,
+    rref,
     univariate_gcd,
 )
 
@@ -157,6 +158,19 @@ class TestExactDivide:
             d = random_poly(rng) + x
             assert exact_divide(q * d, d) == q
 
+    def test_floordiv_is_exact_divide(self):
+        p = (x + 2 * y) * (x - z)
+        assert p // (x - z) == exact_divide(p, x - z) == x + 2 * y
+        assert p // 3 == p / 3 and p // F(1, 2) == 2 * p
+
+    def test_floordiv_raises_the_same_witness(self):
+        p = s ** 2 * u + s * t + u
+        with pytest.raises(NotDivisibleError) as by_function:
+            exact_divide(p, u + t)
+        with pytest.raises(NotDivisibleError) as by_operator:
+            p // (u + t)
+        assert by_operator.value.remainder == by_function.value.remainder
+
 
 class TestDeterminants:
     def test_diagonal(self):
@@ -275,7 +289,7 @@ class TestPrintedCertificates:
             "3251200000000")
         # the identity frame degenerates, so the value above comes from one random frame
         assert macaulay_quotient(self.partials(hq.quartic), "xyz", (3, 3, 3)) \
-            == (None, Poly.zero())
+            == (None, F(0))
 
 
 class TestPerfectSquare:
@@ -356,6 +370,25 @@ class TestLinearAlgebra:
     def test_det(self):
         assert det_fraction([[F(1), F(2)], [F(3), F(4)]]) == -2
 
+    def test_det_with_zero_first_column(self):
+        # the other two columns have full rank, so elimination still finds
+        # two pivots after skipping the first column; the determinant is 0
+        rows = [[F(0), F(1), F(2)], [F(0), F(3), F(4)], [F(0), F(5), F(7)]]
+        assert matrix_rank(rows) == 2
+        assert det_fraction(rows) == 0
+
+    def test_rank_and_determinants_leave_rref(self, monkeypatch):
+        import quartic_cones.polycore as polycore
+
+        def no_rref(rows):
+            raise AssertionError("rref called")
+
+        monkeypatch.setattr(polycore, "rref", no_rref)
+        assert matrix_rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)]]) == 1
+        assert ideal_spans_critical_degree((x ** 3, y ** 3, z ** 3), "xyz", (3, 3, 3))
+        assert det_fraction([[F(0), F(1)], [F(1), F(0)]]) == -1
+        assert PolyMatrix([[x, y], [y, x]]).det_bareiss() == x ** 2 - y ** 2
+
     def test_clear_denominators(self):
         assert clear_denominators([F(-1, 2), F(1, 3)]) == [F(3), F(-2)]
 
@@ -384,6 +417,37 @@ class TestLinearAlgebra:
         first_draw = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
         assert det_fraction(first_draw) == 228  # invertible, so it is kept as drawn
         assert m == first_draw
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Rectangular rational matrices, often of low rank, with zero rows and columns."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    m = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                      min_size=n_rows, max_size=n_rows))
+    for i in range(1, n_rows):
+        if draw(st.booleans()):  # a combination of two earlier rows
+            a, b = draw(entry), draw(entry)
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            m[i] = [a * p + b * q for p, q in zip(m[j], m[k])]
+    if n_rows and draw(st.booleans()):
+        m[draw(st.integers(0, n_rows - 1))] = [F(0)] * n_cols
+    if n_cols and draw(st.booleans()):
+        c = draw(st.integers(0, n_cols - 1))
+        for row in m:
+            row[c] = F(0)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+@example([])
+@example([[], []])
+@example([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]])
+@example([[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]])
+def test_rank_matches_rref(rows):
+    assert matrix_rank(rows) == len(rref(rows)[1])
 
 
 @settings(max_examples=60, deadline=None)
