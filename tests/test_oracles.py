@@ -1,10 +1,9 @@
-"""Oracles for the scalar kernel that do not run through it.
+"""Oracles for the exact kernel that do not run through it.
 
 ``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
-determinant, and the Macaulay
-quotient is checked against two identities of the resultant that hold for
-any correct kernel: homogeneity in each form and the transformation rule
-under a linear change of coordinates.
+determinant, and the Macaulay quotient is checked against two identities
+of the resultant that hold for any correct kernel: homogeneity in each
+form and the transformation rule under a linear change of coordinates.
 """
 
 import random
