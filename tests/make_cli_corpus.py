@@ -46,6 +46,15 @@ FILES = {
     "witness.txt": "(x^2 - y^2)^2 + z*(x^3 + y^3 + z^3)\n",
     "corrected.txt": "(x^2 - y^2)^2 + z*(x^3 + 2*y^3 + z^3)\n",
     "pencil.txt": "x^4 + y^4 + z^4 + a*(x^2*y^2 - 3*x*y*z^2)\n",
+    # every one of the 15 quartic coefficients nonzero in Q0 and in Q1
+    "dense-pencil.txt": ("x^4 + 2*x^3*y - 1/2*x^3*z + 3/4*x^2*y^2 + 5*x^2*y*z - 2/3*x^2*z^2"
+                         " + 7*x*y^3 - x*y^2*z + 1/5*x*y*z^2 + 3*x*z^3 + 2/7*y^4 - 4*y^3*z"
+                         " + 6/5*y^2*z^2 - y*z^3 + 3/2*z^4\n"
+                         "+ a*(2/3*x^4 - x^3*y + 4*x^3*z - 5/2*x^2*y^2 + x^2*y*z + 3*x^2*z^2"
+                         " - 1/3*x*y^3 + 2*x*y^2*z - 7/4*x*y*z^2 + x*z^3 + y^4 + 3/5*y^3*z"
+                         " - 2*y^2*z^2 + 5/6*y*z^3 - z^4)\n"),
+    "two-parameter-pencil.txt": ("x^4 + y^4 + z^4 + a*(x^2*y^2 - 3*x*y*z^2 + 1/2*y^3*z)\n"
+                                 "+ b*(2/3*x^3*z - y^2*z^2 + 5/4*x*y^3 - x*y*z^2 + 1/3*z^4)\n"),
     "commented.txt": "# Klein quartic\nx^3*y + y^3*z  # two terms\n+ z^3*x\n",
     "cubic.txt": "x^3\n",
     "unparsable.txt": "x^\n",
@@ -74,6 +83,8 @@ def commands() -> list:
     out += [
         ["--format", "text", "covariants", "klein.txt"],
         ["covariants", "pencil.txt"],
+        ["covariants", "dense-pencil.txt"],
+        ["covariants", "two-parameter-pencil.txt"],
         ["j", "fermat.txt", "--point", "1,2,3"],
         ["j", "fermat.txt", "--point", "1,1,1"],
         ["j", "klein.txt", "--point", "0,0,1"],
