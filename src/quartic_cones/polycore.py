@@ -12,10 +12,18 @@ given: it wraps every coefficient as a Fraction, drops zeros and adds the
 variables of the terms to the scope.  Ring operations whose results are
 clean by construction (sums, negation, products, scalar division,
 derivatives, substitution, exact quotients) build them through the
-trusted ``Poly._make``, which checks and copies nothing.  Products scale
-each operand to integer numerators over one common denominator, so their
-inner loop is integer arithmetic and each output coefficient is one
-normalised Fraction.
+trusted ``Poly._make``, which checks and copies nothing.
+
+Products pack exponents only for the duration of one multiplication
+(Monagan and Pearce 2007).  Each variable of the sorted scope gets a bit
+field wide enough for the sum of the operands' total degrees, so every
+monomial becomes one int and a monomial product is one int addition that
+never carries.  Coefficients become integer numerators over one common
+denominator per operand, so the inner loop is integer arithmetic; each
+output key is decoded once to its monomial, and each output coefficient
+is one normalised Fraction.  When an operand has at most one term, the
+products of distinct monomials are distinct and nothing is collected, so
+the terms are multiplied directly without packing.
 
 All values are immutable after construction and safe to share between
 threads.  There is no floating point anywhere in this module.
@@ -84,14 +92,19 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
-def _integer_terms(terms: Mapping[Mono, Fraction]):
-    """(d, [(mono, n), ...]) with each coefficient n/d over the lcm d of the denominators."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
-
-
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
+
+
+def _packed_terms(terms: Mapping[Mono, Fraction], shifts: Mapping[str, int]):
+    """(d, [(key, n), ...]): each monomial packed into one int, each coefficient n/d.
+
+    A variable's exponent sits at its bit offset in ``shifts``, and d is
+    the lcm of the denominators.
+    """
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(sum(e << shifts[name] for name, e in m), c.numerator * (d // c.denominator))
+               for m, c in terms.items()]
 
 
 def _mono_div(a: Mono, b: Mono) -> Optional[Mono]:
@@ -246,21 +259,32 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        # integer numerators over one common denominator per operand, so
-        # the inner loop adds and multiplies Python ints only
         q = Poly._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        d1, a = _integer_terms(self.terms)
-        d2, b = _integer_terms(q.terms)
-        acc: Dict[Mono, int] = {}
-        for m1, n1 in a:
-            for m2, n2 in b:
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + n1 * n2
+        variables = self.variables | q.variables
+        if len(self.terms) <= 1 or len(q.terms) <= 1:
+            # distinct monomials give distinct products: nothing to collect
+            return Poly._make({_mono_mul(m1, m2): c1 * c2
+                               for m1, c1 in self.terms.items()
+                               for m2, c2 in q.terms.items()}, variables)
+        # packed exponents: a field of this width holds any exponent of the
+        # product, so adding two keys multiplies their monomials
+        width = (max(map(_mono_degree, self.terms))
+                 + max(map(_mono_degree, q.terms))).bit_length()
+        fields = [(name, i * width) for i, name in enumerate(sorted(variables))]
+        shifts = dict(fields)
+        d1, a = _packed_terms(self.terms, shifts)
+        d2, b = _packed_terms(q.terms, shifts)
+        acc: Dict[int, int] = {}
+        for k1, n1 in a:
+            for k2, n2 in b:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + n1 * n2
         d = d1 * d2
-        return Poly._make({m: Fraction(n, d) for m, n in acc.items() if n},
-                          self.variables | q.variables)
+        mask = (1 << width) - 1
+        return Poly._make({tuple((name, e) for name, s in fields if (e := k >> s & mask)):
+                           Fraction(n, d) for k, n in acc.items() if n}, variables)
 
     __rmul__ = __mul__
 
