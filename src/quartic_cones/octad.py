@@ -76,6 +76,17 @@ def normalize_point(p) -> Tuple[Fraction, ...]:
     return tuple(clear_denominators(point_coordinates(p, "P3")))
 
 
+def _from_normalized(cls, *args):
+    """A QuadricNet or Octad built on points that ``normalize_point`` returned.
+
+    The constructor's checks all run; only the points' second
+    normalisation is skipped.
+    """
+    obj = cls.__new__(cls)
+    obj._init(*args)
+    return obj
+
+
 def quadric_polar(matrix, p, q) -> Fraction:
     """The bilinear form p^T matrix q on coordinate tuples of P3."""
     return sum(p[i] * matrix[i][j] * q[j] for i in range(4) for j in range(4))
@@ -91,6 +102,9 @@ class QuadricNet:
 
     def __init__(self, matrices: Sequence[Sequence[Sequence[Fraction]]],
                  basepoints: Sequence = ()):
+        self._init(matrices, tuple(normalize_point(p) for p in basepoints))
+
+    def _init(self, matrices, basepoints: Tuple[Tuple[Fraction, ...], ...]):
         mats = []
         for m in matrices:
             rows = tuple(tuple(Fraction(v) for v in row) for row in m)
@@ -107,7 +121,7 @@ class QuadricNet:
         if matrix_rank(flat) != 3:
             raise OctadError("net generators are linearly dependent")
         self.matrices = tuple(mats)
-        self.basepoints = tuple(normalize_point(p) for p in basepoints)
+        self.basepoints = basepoints
         for p in self.basepoints:
             for m in self.matrices:
                 if quadric_polar(m, p, p) != 0:
@@ -134,7 +148,9 @@ class Octad:
 
     def __init__(self, points: Sequence, net: Optional[QuadricNet] = None,
                  validate: bool = True):
-        pts = tuple(normalize_point(p) for p in points)
+        self._init(tuple(normalize_point(p) for p in points), net, validate)
+
+    def _init(self, pts: Tuple[Tuple[Fraction, ...], ...], net, validate: bool):
         if len(pts) != 8:
             raise OctadError("an octad has eight points")
         if validate:
@@ -226,7 +242,11 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
     The kernel must be exactly 3-dimensional; its canonical (rref) basis
     is symmetrized into integer matrices.
     """
-    pts = [normalize_point(p) for p in points]
+    return _heptad_net(tuple(normalize_point(p) for p in points))
+
+
+def _heptad_net(pts: Tuple[Tuple[Fraction, ...], ...]) -> QuadricNet:
+    """``net_from_heptad`` on points that ``normalize_point`` returned."""
     if len(pts) != 7:
         raise OctadError("a heptad has seven points")
     for a, b in itertools.combinations(range(7), 2):
@@ -241,7 +261,7 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
         m = _vector_to_matrix(vec)
         flat = clear_denominators([m[i][j] for i in range(4) for j in range(4)])
         matrices.append([[flat[4 * i + j] for j in range(4)] for i in range(4)])
-    return QuadricNet(matrices, basepoints=pts)
+    return _from_normalized(QuadricNet, matrices, pts)
 
 
 def _is_plane_quartic(quartic: Poly) -> bool:
@@ -264,7 +284,7 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
     The verdict (net of dimension 3 and smooth Hessian quartic) is
     equivalent to the heptad being Aronhold.
     """
-    pts = [normalize_point(p) for p in points]
+    pts = tuple(normalize_point(p) for p in points)
     if len(pts) != 7:
         raise OctadError("a heptad has seven points")
     coplanarity = {}
@@ -276,7 +296,7 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
         if d == 0:
             coplanar.append(labels)
     try:
-        net = net_from_heptad(pts)
+        net = _heptad_net(pts)
         dimension = 3
     except DimensionError as err:
         return AronholdReport(coplanarity, tuple(coplanar), err.dimension,
@@ -394,7 +414,7 @@ def eighth_point(net: QuadricNet, rng=None,
         raise OctadError("the eighth point's closed form degenerates")
     candidate = mat_vec(T, [s01 * s02, s01 * s12, s02 * s12, s03 * s12])
     # Octad verifies the point on every generator and against the seven.
-    return Octad(list(known) + [candidate], net=net)
+    return _from_normalized(Octad, known + (normalize_point(candidate),), net, True)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +611,7 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
 
     norm_net = QuadricNet(B, basepoints=[mat_vec(Tinv, p) for p in octad.points])
     new_net = QuadricNet(Bp, basepoints=moved_points)
-    new_octad = Octad(moved_points, net=new_net)
+    new_octad = _from_normalized(Octad, new_net.basepoints, new_net, True)
     return CremonaResult(new_octad, new_net, norm_net,
                          norm_net.determinant == new_net.determinant)
 

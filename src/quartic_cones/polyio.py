@@ -12,6 +12,12 @@ Whitespace is insignificant.  Identifiers match [a-zA-Z][a-zA-Z0-9]*.
 Multiplication is always explicit: "xy" is a single identifier, never
 x*y, which keeps multi-character coefficient names like a310 unambiguous.
 
+The parser bounds what an expression may cost before it multiplies:
+a product or power whose total degree would exceed ``MAX_DEGREE``, or a
+power whose base's largest numerator or denominator, in bits, times the
+exponent exceeds ``MAX_POWER_BITS`` (``2^100000``), raises ParseError
+without being computed.
+
 Points files carry one point per line as comma-separated rational
 literals; '#' starts a comment.
 """
@@ -38,6 +44,11 @@ class ParseError(Exception):
 
 
 AMBIENT_SIZES = {"P2": 3, "P3": 4, "P11123": 5}
+
+# Caps on a parsed expression (see the module docstring).  A plane quartic
+# with parameters stays far below both.
+MAX_DEGREE = 32
+MAX_POWER_BITS = 4096
 
 
 def point_coordinates(p, ambient: str) -> Tuple[Fraction, ...]:
@@ -99,6 +110,10 @@ class _Parser:
     def fail(self, message: str, pos: int):
         raise ParseError(message, self.text, pos)
 
+    def check_degree(self, degree: int, pos: int):
+        if degree > MAX_DEGREE:
+            self.fail(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
+
     def parse(self) -> Poly:
         p = self.expr()
         kind, value, pos = self.tokens.peek()
@@ -120,10 +135,12 @@ class _Parser:
     def term(self) -> Poly:
         p = self.factor()
         while True:
-            kind, value, _ = self.tokens.peek()
+            kind, value, pos = self.tokens.peek()
             if kind == "op" and value == "*":
                 self.tokens.next()
-                p = p * self.factor()
+                q = self.factor()
+                self.check_degree(_degree(p) + _degree(q), pos)
+                p = p * q
             else:
                 return p
 
@@ -139,7 +156,13 @@ class _Parser:
             kind, value, pos = self.tokens.next()
             if kind != "num":
                 self.fail("expected a non-negative integer exponent after '^'", pos)
-            return p ** int(value)
+            n = int(value)
+            self.check_degree(_degree(p) * n, pos)
+            bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                        for c in p.terms.values()), default=0) * n
+            if bits > MAX_POWER_BITS:
+                self.fail(f"a power of up to {bits} bits exceeds the cap of {MAX_POWER_BITS}", pos)
+            return p ** n
         return p
 
     def base(self) -> Poly:
@@ -170,11 +193,16 @@ class _Parser:
                   if kind != "eof" else "unexpected end of input", pos)
 
 
+def _degree(p: Poly) -> int:
+    return max((sum(e for _, e in m) for m in p.terms), default=0)
+
+
 def parse_poly(src: str, declared_variables: Iterable[str] = ()) -> Poly:
     """Parse an expression into an exact Poly over the declared variables.
 
-    Undeclared identifiers, malformed syntax, and non-natural exponents
-    raise ParseError with position information.
+    Undeclared identifiers, malformed syntax, non-natural exponents, and
+    products or powers past ``MAX_DEGREE`` or ``MAX_POWER_BITS`` raise
+    ParseError with position information.
     """
     return _Parser(src, declared_variables).parse()
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,19 @@ class TestCovariantsCommand:
         path.write_text("x^\n")
         code, out, err = run(capsys, "covariants", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x+y+z+1)^60\n", "degree 60 exceeds the cap of 32"),
+        ("x^4 + 2^100000*y^4 + z^4\n", "bits exceeds the cap of 4096"),
+    ])
+    def test_runaway_input_exits_2_before_computing(self, capsys, tmp_path, text, message):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "covariants", str(path))
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_symbolic_parameter_accepted(self, capsys, tmp_path):
         path = tmp_path / "family.txt"

@@ -618,6 +618,70 @@ def test_partial_and_subs_match_fraction_reference(raw, binding, data):
     assert p.variables - bound <= result.variables
 
 
+# -- products at the packed-exponent field boundaries ----------------------
+# Poly.__mul__ gives each variable a bit field of (deg p + deg q).bit_length()
+# bits.  These operands put the degree sum at 2^k - 1 (every bit of the field
+# used) or 2^k (one bit more), with exponents up to 40 on up to six variables.
+
+PACKED_VARS = ("a", "lambda", "w", "x", "y", "z")
+MAX_EXPONENT = 40
+nonzero_coefficients = ref_coefficients.filter(bool)
+
+
+def draw_monomial(draw, names, degree):
+    """A monomial of exactly ``degree`` over ``names``, no exponent above 40."""
+    exps = {}
+    order = draw(st.permutations(names))
+    for i, name in enumerate(order):
+        room = MAX_EXPONENT * (len(order) - i - 1)
+        exps[name] = draw(st.integers(max(0, degree - room), min(MAX_EXPONENT, degree)))
+        degree -= exps[name]
+    return tuple(sorted((n, e) for n, e in exps.items() if e))
+
+
+@st.composite
+def boundary_operand(draw, names, degree):
+    """(terms, scope): zero, a constant, one term, or several terms led by one of ``degree``."""
+    shape = draw(st.sampled_from(("zero", "constant", "one term", "several terms")))
+    # the scope may be wider than the terms
+    scope = set(names) | draw(st.sets(st.sampled_from(("b", "t")), max_size=2))
+    if shape == "zero":
+        return {}, scope
+    if shape == "constant":
+        return {(): draw(nonzero_coefficients)}, scope
+    terms = {draw_monomial(draw, names, degree): draw(nonzero_coefficients)}
+    if shape == "several terms":
+        for _ in range(draw(st.integers(1, 5))):
+            lower = draw_monomial(draw, names, draw(st.integers(0, degree)))
+            terms[lower] = draw(ref_coefficients)
+    return terms, scope
+
+
+@st.composite
+def boundary_pairs(draw):
+    names = sorted(draw(st.sets(st.sampled_from(PACKED_VARS), min_size=1, max_size=6)))
+    total = 2 ** draw(st.integers(1, 6)) - draw(st.integers(0, 1))
+    cap = MAX_EXPONENT * len(names)
+    da = draw(st.integers(max(0, total - cap), min(total, cap)))
+    return draw(boundary_operand(names, da)), draw(boundary_operand(names, total - da))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_pairs())
+@example((({(("x", 31),): F(1), (("y", 1),): F(1)}, {"x", "y"}),
+          ({(("x", 32),): F(-1, 2), (): F(3)}, {"x"})))
+@example((({(("a", 40), ("lambda", 23)): F(2, 3), (("a", 1),): F(1)}, {"a", "lambda"}),
+          ({(("lambda", 1),): F(1), (): F(1)}, {"a", "lambda", "t"})))
+def test_products_match_fraction_reference_at_field_boundaries(pair):
+    (a, sa), (b, sb) = pair
+    p, q = Poly(a, sa), Poly(b, sb)
+    ra, rb = ref_clean(a), ref_clean(b)
+    for result, expected in ((p * q, ref_mul(ra, rb)), (q * p, ref_mul(rb, ra))):
+        assert_clean(result)
+        assert result.terms == expected
+        assert result.variables == p.variables | q.variables
+
+
 class TestPickle:
     def test_ring_results_round_trip(self):
         # built by the trusted constructor, with scopes wider than their terms

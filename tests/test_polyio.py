@@ -58,6 +58,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("x^-2", "x")
 
+    @pytest.mark.parametrize("text", ["x^32", "x^16*y^16", "(x*y + 1)^16", "2^2048*x",
+                                      "(1/3)^2048", "0^100000", "(x^2 - x^2)^100"])
+    def test_caps_admit_their_bounds(self, text):
+        assert parse_poly(text, "xy").variables == {"x", "y"}
+
+    @pytest.mark.parametrize("text, pos", [
+        ("x^33", 2),                 # the exponent
+        ("x^16*y^17", 4),            # the '*' that would pass the cap
+        ("(x*y + 1)^17", 10),
+        ("x*(x + y)^31*y", 12),
+        ("2^2049*x", 2),             # 2 has 2 bits: 4098 > 4096
+        ("(1/3)^2049", 6),
+        ("(2^2048)^2", 9),
+    ])
+    def test_runaway_products_and_powers_rejected(self, text, pos):
+        with pytest.raises(ParseError, match="exceeds the cap") as err:
+            parse_poly(text, "xy")
+        assert err.value.pos == pos
+
     def test_parenthesized(self):
         assert parse_poly("(x+y)^2", "xy") == (Poly.var("x") + Poly.var("y")) ** 2
 
@@ -177,7 +196,7 @@ def test_point_coordinates_checks_in_order(point, ambient, message):
 
 
 def test_bitangents_job_coerces_each_point_once(monkeypatch, tmp_path, capsys):
-    # 7 parsed points, 7 in net_from_heptad, 7 net base points, 8 octad points
+    # 7 parsed points, 7 heptad points normalised once, and the eighth point
     calls = []
 
     def counting(p, ambient):
@@ -191,6 +210,31 @@ def test_bitangents_job_coerces_each_point_once(monkeypatch, tmp_path, capsys):
     assert cli.main(["octad", "bitangents", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 28
     assert len(calls) < 50
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # 7 parsed points, then 7 normalised once for the coplanarity
+    # determinants, the net and its base points
+    (["check"], 14),
+    # 7 parsed, 7 heptad points, the eighth point, and 8 points in each
+    # of the two Cremona frames; the new octad reuses the new net's
+    (["cremona", "--center", "1,2,3,4"], 31),
+])
+def test_octad_job_normalises_each_heptad_point_once(argv, bound, monkeypatch, tmp_path,
+                                                     capsys):
+    calls = []
+
+    def counting(p, ambient):
+        calls.append(ambient)
+        return point_coordinates(p, ambient)
+
+    for module in (polyio, octad, covariants_mod, cone):
+        monkeypatch.setattr(module, "point_coordinates", counting)
+    path = tmp_path / "heptad.txt"
+    path.write_text("\n".join(",".join(map(str, p)) for p in STANDARD_HEPTAD) + "\n")
+    assert cli.main(["octad", argv[0], str(path)] + argv[1:]) == 0
+    capsys.readouterr()
+    assert len(calls) <= bound
 
 
 def test_scan_identifiers():
