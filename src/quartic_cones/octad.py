@@ -242,11 +242,7 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
     The kernel must be exactly 3-dimensional; its canonical (rref) basis
     is symmetrized into integer matrices.
     """
-    return _heptad_net(tuple(normalize_point(p) for p in points))
-
-
-def _heptad_net(pts: Tuple[Tuple[Fraction, ...], ...]) -> QuadricNet:
-    """``net_from_heptad`` on points that ``normalize_point`` returned."""
+    pts = tuple(normalize_point(p) for p in points)
     if len(pts) != 7:
         raise OctadError("a heptad has seven points")
     for a, b in itertools.combinations(range(7), 2):
@@ -284,9 +280,14 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
     The verdict (net of dimension 3 and smooth Hessian quartic) is
     equivalent to the heptad being Aronhold.
     """
-    pts = tuple(normalize_point(p) for p in points)
-    if len(pts) != 7:
-        raise OctadError("a heptad has seven points")
+    try:
+        net = net_from_heptad(points)
+    except DimensionError as err:
+        net, dimension = None, err.dimension
+    else:
+        dimension = 3
+    # the net's base points are the heptad, normalised once
+    pts = tuple(normalize_point(p) for p in points) if net is None else net.basepoints
     coplanarity = {}
     coplanar = []
     for quad in itertools.combinations(range(7), 4):
@@ -295,12 +296,8 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
         coplanarity[labels] = d
         if d == 0:
             coplanar.append(labels)
-    try:
-        net = _heptad_net(pts)
-        dimension = 3
-    except DimensionError as err:
-        return AronholdReport(coplanarity, tuple(coplanar), err.dimension,
-                              None, None, False)
+    if net is None:
+        return AronholdReport(coplanarity, tuple(coplanar), dimension, None, None, False)
     hess = hessian_quartic(net, rng=rng)
     verdict = dimension == 3 and hess.smooth
     return AronholdReport(coplanarity, tuple(coplanar), dimension,

@@ -16,6 +16,8 @@ import pytest
 
 from quartic_cones import cli, octad, polycore, theta
 
+from make_cli_corpus import FILES
+
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "perfbench", "tracer.py")
 
@@ -75,6 +77,33 @@ def test_covariants_run_counts_products_and_public_constructions(capsys, tmp_pat
     metrics = spans.metrics()
     assert metrics["polycore.Poly.mul.calls"][0] > 0
     assert metrics["polycore.Poly.constructed"][0] > 0
+
+
+def test_scalar_products_reach_the_spanned_method():
+    # one product kernel: the tracer spans Poly.__mul__, and 2 * p runs the same function
+    assert polycore.Poly.__rmul__ is polycore.Poly.__mul__
+
+
+def test_pencil_run_keeps_its_product_and_construction_counts(capsys, tmp_path):
+    """``covariants pencil.txt`` makes 187 products and 206 public constructions.
+
+    A faster product kernel must neither hide products from the
+    ``Poly.mul`` span nor build its results through ``Poly.__init__``,
+    which the tracer counts as ``Poly.constructed``.
+    """
+    path = tmp_path / "pencil.txt"
+    path.write_text(FILES["pencil.txt"])
+    tracer = load_tracer()
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        assert cli.main(["covariants", str(path)]) == 0
+    finally:
+        spans.uninstall()
+    capsys.readouterr()
+    metrics = spans.metrics()
+    assert metrics["polycore.Poly.mul.calls"][0] == 187
+    assert metrics["polycore.Poly.constructed"][0] == 206
 
 
 @pytest.mark.parametrize("entry", [octad.all_bitangents, theta.aronhold_enumerate])

@@ -219,7 +219,7 @@ def test_bitangents_job_coerces_each_point_once(monkeypatch, tmp_path, capsys):
     # 7 parsed, 7 heptad points, the eighth point, and 8 points in each
     # of the two Cremona frames; the new octad reuses the new net's
     (["cremona", "--center", "1,2,3,4"], 31),
-])
+], ids=["check", "cremona"])
 def test_octad_job_normalises_each_heptad_point_once(argv, bound, monkeypatch, tmp_path,
                                                      capsys):
     calls = []
