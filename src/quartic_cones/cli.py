@@ -7,24 +7,20 @@ witnesses, or both.  Rationals are printed as exact decimal strings
 ("num/den"), never floating point.
 
 Exit codes: 0 success, 1 mathematical precondition failure, 2 input or
-parse failure.  With a fixed --seed and fixed inputs the output bytes
-are identical across runs.
+parse failure.  The output bytes depend only on argv and the input
+files, so they are identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 
 # The package's modules are imported in the functions that use them: each
 # job is a fresh process that compiles what it imports, so --help compiles
 # none of them and a theta job only theta and record.
-
-FORMAT_ENV = "QUARTIC_CONES_FORMAT"
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -98,25 +94,30 @@ def _load_points(path: str, count_options) -> list:
     return points
 
 
-def _smoothness_report(curve, rng) -> dict:
+def _smoothness_report(curve) -> dict:
     if curve.parameters:
         return {"status": "not_evaluated_parametric",
                 "parameters": sorted(curve.parameters)}
     from .polycore import macaulay_resultant_ternary
 
     res = macaulay_resultant_ternary(curve.poly.partial("x"), curve.poly.partial("y"),
-                                     curve.poly.partial("z"), rng=rng)
+                                     curve.poly.partial("z"))
     return {"status": "evaluated", "macaulay_resultant": _frac(res),
             "smooth": res != 0}
 
 
-def cmd_covariants(args, rng) -> tuple:
+def cmd_covariants(args) -> tuple:
     from . import covariants as cov
     from .polyio import print_poly
 
     curve, text = _load_quartic(args.quartic)
     pair = cov.covariants(curve)
     G = pair.dual.G
+    if G.is_zero():
+        from .polycore import PolyError
+
+        why = "g4 = g6 = 0" if pair.g4.is_zero() and pair.g6.is_zero() else "4 g4^3 = 27 g6^2"
+        raise PolyError(f"{why}: the dual curve vanishes identically")
     report = {
         "command": "covariants",
         "input": text,
@@ -127,12 +128,12 @@ def cmd_covariants(args, rng) -> tuple:
         "dual_curve": print_poly(G),
         "dual_degree": G.homogeneous_degree(
             {**{v: 0 for v in G.variables}, "s": 1, "t": 1, "u": 1}),
-        "input_smoothness": _smoothness_report(curve, rng),
+        "input_smoothness": _smoothness_report(curve),
     }
     return report, EXIT_OK
 
 
-def cmd_j(args, rng) -> tuple:
+def cmd_j(args) -> tuple:
     from . import covariants as cov
     from .polyio import parse_point
 
@@ -176,7 +177,20 @@ def _aronhold_json(rep) -> dict:
     }
 
 
-def cmd_octad(args, rng) -> tuple:
+def _parse_center(raw) -> tuple:
+    """The four distinct octad labels in 1..8 of ``--center i,j,k,l``."""
+    if not raw:
+        raise InputError("cremona needs --center i,j,k,l")
+    try:
+        center = tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise InputError(f"malformed --center {raw!r}")
+    if len(center) != 4 or len(set(center)) != 4 or not all(1 <= c <= 8 for c in center):
+        raise InputError(f"--center needs four distinct labels in 1..8, got {raw!r}")
+    return center
+
+
+def cmd_octad(args) -> tuple:
     from . import octad as octad_mod
     from .polyio import print_poly
 
@@ -185,9 +199,11 @@ def cmd_octad(args, rng) -> tuple:
         points = _load_points(args.points, (7,))
     else:
         points = _load_points(args.points, (7, 8))
+    if action == "cremona":
+        center = _parse_center(args.center)
 
     if action == "check":
-        rep = octad_mod.aronhold_check(points, rng=rng)
+        rep = octad_mod.aronhold_check(points)
         return {"command": "octad.check", **_aronhold_json(rep)}, EXIT_OK
 
     net = octad_mod.net_from_heptad(points[:7])
@@ -196,13 +212,13 @@ def cmd_octad(args, rng) -> tuple:
                 "dimension": 3,
                 "matrices": [_matrix_json(m) for m in net.matrices]}, EXIT_OK
     if action == "hessian":
-        hq = octad_mod.hessian_quartic(net, rng=rng)
+        hq = octad_mod.hessian_quartic(net)
         return {"command": "octad.hessian",
                 "quartic": print_poly(hq.quartic),
                 "smooth": hq.smooth,
                 "macaulay_resultant": _frac(hq.resultant)}, EXIT_OK
     if action == "eighth":
-        octad = octad_mod.eighth_point(net, rng=rng)
+        octad = octad_mod.eighth_point(net)
         p8 = octad.point(8)
         verified = all(octad_mod.quadric_polar(m, p8, p8) == 0 for m in net.matrices)
         return {"command": "octad.eighth",
@@ -213,7 +229,7 @@ def cmd_octad(args, rng) -> tuple:
     if len(points) == 8:
         octad = octad_mod.Octad(points, net=net)
     else:
-        octad = octad_mod.eighth_point(net, rng=rng)
+        octad = octad_mod.eighth_point(net)
 
     if action == "bitangents":
         certs = octad_mod.all_bitangents(octad, net)
@@ -229,12 +245,6 @@ def cmd_octad(args, rng) -> tuple:
                 } for c in certs]}, EXIT_OK
 
     if action == "cremona":
-        if not args.center:
-            raise InputError("cremona needs --center i,j,k,l")
-        try:
-            center = tuple(int(part) for part in args.center.split(","))
-        except ValueError:
-            raise InputError(f"malformed --center {args.center!r}")
         from . import theta as theta_mod
 
         result = octad_mod.cremona_octad(octad, center, net=net)
@@ -260,7 +270,7 @@ def cmd_octad(args, rng) -> tuple:
     raise InputError(f"unknown octad action {action!r}")
 
 
-def cmd_theta(args, rng) -> tuple:
+def cmd_theta(args) -> tuple:
     from . import theta as theta_mod
 
     if args.action == "count":
@@ -283,7 +293,7 @@ def cmd_theta(args, rng) -> tuple:
     raise InputError(f"unknown theta action {args.action!r}")
 
 
-def cmd_s4(args, rng) -> tuple:
+def cmd_s4(args) -> tuple:
     from . import cone as cone_mod
     from . import covariants as cov
     from .polyio import parse_poly, parse_rational, print_poly
@@ -323,13 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quartic-cones",
         description="Exact pipelines from plane quartics to sextic double cones, "
                     "nets of quadrics, Cayley octads, and theta characteristics.")
-    parser.add_argument("--format", choices=("json", "text"),
-                        default=os.environ.get(FORMAT_ENV, "json"),
-                        help=f"output format (default from ${FORMAT_ENV}, else json)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized coordinate changes (default 0)")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="timing notes on stderr")
+    parser.add_argument("--format", choices=("json", "text"), default="json",
+                        help="output format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("covariants", help="line restriction, g4/g6, cone, dual curve")
@@ -362,14 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import time
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
-    started = time.perf_counter()
+    args = build_parser().parse_args(argv)
     try:
-        report, code = args.func(args, rng)
+        report, code = args.func(args)
     except Exception as err:
         from .polycore import PolyError
         from .polyio import ParseError
@@ -381,9 +381,6 @@ def main(argv=None) -> int:
             sys.stderr.write(f"error: {err}\n")
             return EXIT_MATH
         raise
-    if args.verbose:
-        sys.stderr.write(f"{report.get('command', args.command)}: "
-                         f"{time.perf_counter() - started:.3f}s (seed {args.seed})\n")
     sys.stdout.write(_render(report, args.format))
     return code
 

@@ -264,17 +264,17 @@ def _is_plane_quartic(quartic: Poly) -> bool:
     return not quartic.is_zero() and quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) == {4}
 
 
-def hessian_quartic(net: QuadricNet, rng=None) -> HessianQuartic:
+def hessian_quartic(net: QuadricNet) -> HessianQuartic:
     """det(x A0 + y A1 + z A2) with its Macaulay smoothness certificate."""
     quartic = net.determinant
     if not _is_plane_quartic(quartic):
         return HessianQuartic(quartic, False, Fraction(0))
     res = macaulay_resultant_ternary(quartic.partial("x"), quartic.partial("y"),
-                                     quartic.partial("z"), rng=rng)
+                                     quartic.partial("z"))
     return HessianQuartic(quartic, res != 0, res)
 
 
-def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
+def aronhold_check(points: Sequence) -> AronholdReport:
     """Full report: coplanarity determinants, net dimension, Hessian smoothness.
 
     The verdict (net of dimension 3 and smooth Hessian quartic) is
@@ -298,7 +298,7 @@ def aronhold_check(points: Sequence, rng=None) -> AronholdReport:
             coplanar.append(labels)
     if net is None:
         return AronholdReport(coplanarity, tuple(coplanar), dimension, None, None, False)
-    hess = hessian_quartic(net, rng=rng)
+    hess = hessian_quartic(net)
     verdict = dimension == 3 and hess.smooth
     return AronholdReport(coplanarity, tuple(coplanar), dimension,
                           hess.smooth, hess.resultant, verdict)
@@ -560,7 +560,7 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
     if net is None:
         raise OctadError("cremona_octad needs the octad's net")
     labels = tuple(center)
-    if len(set(labels)) != 4 or not all(1 <= c <= 8 for c in labels):
+    if len(labels) != 4 or len(set(labels)) != 4 or not all(1 <= c <= 8 for c in labels):
         raise OctadError("center must be four distinct labels in 1..8")
     cols = [octad.point(c) for c in labels]
     T = [[cols[j][i] for j in range(4)] for i in range(4)]

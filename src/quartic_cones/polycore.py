@@ -707,16 +707,18 @@ TERNARY_VARIABLES = ("x", "y", "z")
 MACAULAY_RETRIES = 8
 
 
-def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly, rng=None) -> Fraction:
-    """Macaulay resultant of three ternary forms of one common degree.
+def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
+    """Macaulay resultant of three ternary forms of one common degree d.
 
     Zero exactly when the forms share a projective zero over the complex
-    numbers.  When the Macaulay minor degenerates, a random invertible
-    rational change of coordinates is applied and the computation retried;
-    the change rescales the resultant by a nonzero factor, so vanishing is
-    preserved.  Systems with positive-dimensional zero loci can keep the
-    minor singular in every frame; those are decided (exactly) by the
-    critical-degree rank test and reported as resultant zero.
+    numbers.  When the Macaulay minor degenerates, the forms are moved by
+    a random invertible integer matrix M, drawn from ``random.Random(0)``,
+    and the computation retried.  The quotient in that frame is
+    det(M)^(d^3) * Res, and dividing by that factor makes the value the
+    frame's choice cannot change.  Systems with positive-dimensional zero
+    loci can keep the minor singular in every frame; those are decided
+    (exactly) by the critical-degree rank test and reported as resultant
+    zero.
     """
     forms = [f1, f2, f3]
     vs = TERNARY_VARIABLES
@@ -738,25 +740,20 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly, rng=None) -> Fracti
     if d < 1:
         raise DegreeError("forms must have positive degree")
 
-    current = forms
+    rng = random.Random(0)
+    current, scale = forms, 1
     for attempt in range(MACAULAY_RETRIES + 1):
         quotient, _ = macaulay_quotient(current, vs, (d, d, d))
         if quotient is not None:
-            return quotient
+            return quotient / scale
         if attempt == 1 and not ideal_spans_critical_degree(forms, vs, (d, d, d)):
             return Fraction(0)
-        if rng is None:
-            rng = random.Random(20230901)
-        current = _random_linear_change(forms, vs, rng)
+        mat = random_invertible(3, rng, 5)
+        images = {v: sum((Poly.var(w) * c for w, c in zip(vs, row)), Poly.zero())
+                  for v, row in zip(vs, mat)}
+        current = [f.subs(images) for f in forms]
+        scale = det_fraction(mat) ** d ** 3
     raise MacaulayDegenerateError("Macaulay minor vanished for every coordinate change")
-
-
-def _random_linear_change(forms: Sequence[Poly], vs: Sequence[str], rng):
-    n = len(vs)
-    mat = random_invertible(n, rng, 5)
-    images = {vs[i]: sum((Poly.var(vs[j]) * mat[i][j] for j in range(n)), Poly.zero())
-              for i in range(n)}
-    return [f.subs(images) for f in forms]
 
 
 # ---------------------------------------------------------------------------

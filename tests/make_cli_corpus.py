@@ -10,9 +10,8 @@ means to alter the CLI's bytes, and say which commands moved.
 
 The heptads come from ``tests/conftest.py``.  Commands run in a directory
 that holds the input files under relative names, with ``COLUMNS=80``
-(argparse wraps help to the terminal width) and without
-``QUARTIC_CONES_FORMAT``, so the bytes depend on nothing but argv and the
-files.
+(argparse wraps help to the terminal width), so the bytes depend on
+nothing but argv and the files.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ FILES = {
                                  "+ b*(2/3*x^3*z - y^2*z^2 + 5/4*x*y^3 - x*y*z^2 + 1/3*z^4)\n"),
     "commented.txt": "# Klein quartic\nx^3*y + y^3*z  # two terms\n+ z^3*x\n",
     "cubic.txt": "x^3\n",
+    "fourth-power.txt": "x^4\n",
     "unparsable.txt": "x^\n",
     "standard.txt": _points(STANDARD_HEPTAD),
     "standard8.txt": _points(STANDARD_HEPTAD + [(121, -22, -15, -11)]),
@@ -97,10 +97,6 @@ def commands() -> list:
     out += [
         ["octad", "cremona", "standard.txt", "--center", "5,6,7,8"],
         ["octad", "cremona", "standard.txt", "--center", "1,6,7,8"],
-        ["--seed", "3", "octad", "check", "standard.txt"],
-        ["--seed", "3", "octad", "hessian", "standard.txt"],
-        ["--seed", "3", "octad", "eighth", "standard.txt"],
-        ["--seed", "3", "octad", "hessian", "seed1-heptad2.txt"],
         ["--format", "text", "octad", "eighth", "standard.txt"],
         ["--format", "text", "octad", "check", "standard.txt"],
         ["octad", "bitangents", "standard8.txt"],
@@ -123,6 +119,7 @@ def commands() -> list:
     out.append(["--format", "text", "s4", "--lambda", "3"])
     out += [  # parse and input errors
         ["covariants", "cubic.txt"],
+        ["covariants", "fourth-power.txt"],
         ["covariants", "unparsable.txt"],
         ["covariants", "missing.txt"],
         ["j", "fermat.txt", "--point", "1,2"],
@@ -135,11 +132,14 @@ def commands() -> list:
         ["octad", "cremona", "standard.txt"],
         ["octad", "cremona", "standard.txt", "--center", "1,2,x,4"],
         ["octad", "cremona", "standard.txt", "--center", "1,1,2,3"],
+        ["octad", "cremona", "standard.txt", "--center", "1,2,3,4,4"],
         ["octad", "bogus", "standard.txt"],
         ["theta", "bogus"],
         ["s4", "--lambda", "one"],
         ["--format", "xml", "theta", "count"],
         ["--jobs", "2", "theta", "count"],
+        ["--seed", "3", "octad", "check", "standard.txt"],
+        ["-v", "theta", "count"],
         [],
     ]
     out += [["--help"], ["covariants", "--help"], ["j", "--help"], ["octad", "--help"],
@@ -150,19 +150,17 @@ def commands() -> list:
 @contextlib.contextmanager
 def _environment(workdir):
     saved_cwd = os.getcwd()
-    saved = {k: os.environ.get(k) for k in ("COLUMNS", "QUARTIC_CONES_FORMAT")}
+    saved_columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("QUARTIC_CONES_FORMAT", None)
     os.chdir(workdir)
     try:
         yield
     finally:
         os.chdir(saved_cwd)
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved_columns is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = saved_columns
 
 
 def write_files(workdir, files=FILES):

@@ -1,9 +1,12 @@
 """Oracles for the exact kernel that do not run through it.
 
 ``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
-determinant, and the Macaulay quotient is checked against two identities
-of the resultant that hold for any correct kernel: homogeneity in each
-form and the transformation rule under a linear change of coordinates.
+determinant, and the Macaulay resultant is checked against identities
+that hold for any correct kernel: homogeneity in each form, the
+transformation rule under a linear change of coordinates, and the action
+of GL3 on a quartic's partials and on its covariants g4 and g6.  The
+resultant is checked both as the identity-frame Macaulay quotient and as
+``macaulay_resultant_ternary``, whose retry frames must not change it.
 """
 
 import random
@@ -13,7 +16,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quartic_cones.polycore import Poly, PolyMatrix, det_fraction, macaulay_quotient
+from quartic_cones.covariants import QuarticCurve, covariants
+from quartic_cones.polycore import (
+    Poly,
+    PolyMatrix,
+    det_fraction,
+    macaulay_quotient,
+    macaulay_resultant_ternary,
+)
 
 
 def sympy_det(rows):
@@ -121,19 +131,24 @@ def form_from(coeffs, d):
     return Poly(terms, "xyz")
 
 
-def forms(d):
+def form(d):
     size = (d + 1) * (d + 2) // 2
-    coeffs = st.lists(st.integers(-4, 4), min_size=size, max_size=size)
-    return st.tuples(coeffs, coeffs, coeffs).map(lambda cs: [form_from(c, d) for c in cs])
+    # sparse draws (most coefficients zero) often make the identity-frame
+    # Macaulay minor vanish, so the retry frames are exercised too
+    coeffs = st.one_of(st.lists(st.integers(-4, 4), min_size=size, max_size=size),
+                       st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]),
+                                min_size=size, max_size=size))
+    return coeffs.map(lambda c: form_from(c, d))
+
+
+def forms(d):
+    return st.lists(form(d), min_size=3, max_size=3)
 
 
 def quotient(fs, d):
+    """The identity-frame Macaulay quotient, or None when its minor vanishes."""
     q, minor = macaulay_quotient(fs, "xyz", (d, d, d))
-    # A degenerate Macaulay minor gives no quotient.  The resultant is then
-    # computed in a random frame (macaulay_resultant_ternary's retry), which
-    # rescales it, so neither identity applies to that path; skip the draw.
-    assume(q is not None)
-    assert minor != 0
+    assert (q is None) == (minor == 0)
     return q
 
 
@@ -143,6 +158,17 @@ def det3(s):
             + s[0][2] * (s[1][0] * s[2][1] - s[1][1] * s[2][0]))
 
 
+def compose(f, s, names="xyz"):
+    """f o S: each variable v_i goes to sum_j S[i][j] v_j."""
+    images = {v: sum((Poly.var(w) * s[i][j] for j, w in enumerate(names)), Poly.zero())
+              for i, v in enumerate(names)}
+    return f.subs(images)
+
+
+def resultant(fs):
+    return macaulay_resultant_ternary(*fs)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), lam=st.fractions(min_value=-5, max_value=5, max_denominator=4))
@@ -150,9 +176,14 @@ def test_resultant_homogeneous_in_each_form(d, data, lam):
     # Res is homogeneous of degree d*d in the coefficients of each form
     assume(lam != 0)
     f1, f2, f3 = data.draw(forms(d))
-    res = quotient([f1, f2, f3], d)
-    assert quotient([f1 * lam, f2, f3], d) == lam ** (d * d) * res
-    assert quotient([f1, f2, f3 * lam], d) == lam ** (d * d) * res
+    res = resultant([f1, f2, f3])
+    assert resultant([f1 * lam, f2, f3]) == lam ** (d * d) * res
+    assert resultant([f1, f2, f3 * lam]) == lam ** (d * d) * res
+    q = quotient([f1, f2, f3], d)
+    if q is not None:  # scaling a form keeps the minor nonzero
+        assert q == res
+        assert quotient([f1 * lam, f2, f3], d) == lam ** (d * d) * q
+        assert quotient([f1, f2, f3 * lam], d) == lam ** (d * d) * q
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -164,8 +195,39 @@ def test_resultant_under_linear_change(d, data, s):
     det_s = det3(s)
     assume(det_s != 0)
     fs = data.draw(forms(d))
-    res = quotient(fs, d)
-    images = {v: sum((Poly.var(w) * s[i][j] for j, w in enumerate("xyz")), Poly.zero())
-              for i, v in enumerate("xyz")}
-    moved = [f.subs(images) for f in fs]
-    assert quotient(moved, d) == F(det_s) ** (d ** 3) * res
+    moved = [compose(f, s) for f in fs]
+    assert resultant(moved) == F(det_s) ** (d ** 3) * resultant(fs)
+    q, moved_q = quotient(fs, d), quotient(moved, d)
+    if q is not None and moved_q is not None:
+        assert moved_q == F(det_s) ** (d ** 3) * q
+
+
+def cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def partials(f):
+    return [f.partial(v) for v in "xyz"]
+
+
+KLEIN = x ** 3 * y + y ** 3 * Poly.var("z") + Poly.var("z") ** 3 * x
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=form(4),
+       a=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=3, max_size=3))
+@example(f=KLEIN, a=[[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # minor degenerates for f only
+@example(f=KLEIN, a=[[1, 0, 0], [0, 2, 0], [0, 0, -1]])  # and for f o A too
+@example(f=KLEIN, a=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # an automorphism of f
+def test_group_action_on_resultant_and_covariants(f, a):
+    # grad(f o A) = A^T (grad f) o A: the substitution scales the resultant
+    # of the three cubics by det(A)^27 and the combination by A^T by
+    # det(A)^9.  g4 and g6 are contravariants: they move by adj(A)^T.
+    det_a = det3(a)
+    assume(det_a != 0 and not f.is_zero())
+    fa = compose(f, a)
+    assert resultant(partials(fa)) == F(det_a) ** 36 * resultant(partials(f))
+    cofactors = [cross(a[1], a[2]), cross(a[2], a[0]), cross(a[0], a[1])]  # adj(A)^T
+    pair, moved = covariants(QuarticCurve(f)), covariants(QuarticCurve(fa))
+    assert moved.g4 == compose(pair.g4, cofactors, "stu")
+    assert moved.g6 == compose(pair.g6, cofactors, "stu")

@@ -264,32 +264,46 @@ class TestMacaulay:
 
 
 class TestPrintedCertificates:
-    """The resultants the CLI prints, pinned so a kernel change cannot move them."""
+    """The resultants the CLI prints, pinned so a kernel change cannot move them.
+
+    Where the identity-frame Macaulay minor vanishes, the pinned value is
+    also checked against the group-action law Res(grad(f o A)) =
+    det(A)^36 Res(grad f) in a frame A whose minor does not vanish.
+    """
 
     @staticmethod
     def partials(q):
         return [q.partial(n) for n in "xyz"]
 
+    # x -> x + y, y -> y + z, z -> x + z: determinant 2
+    FRAME = {"x": x + y, "y": y + z, "z": x + z}
+
+    def assert_frame_law(self, quartic, res):
+        moved = self.partials(quartic.subs(self.FRAME))
+        quotient, minor = macaulay_quotient(moved, "xyz", (3, 3, 3))
+        assert minor != 0 and quotient == 2 ** 36 * res
+
     def test_klein(self):
-        # the identity-frame minor degenerates; seed 0 picks the frame the CLI uses
+        # the identity-frame minor degenerates; Res = 2^14 * 7^7
         klein = x ** 3 * y + y ** 3 * z + z ** 3 * x
-        assert macaulay_resultant_ternary(*self.partials(klein), rng=random.Random(0)) \
-            == 23742071120159211475387799463439023984194093056
+        assert macaulay_quotient(self.partials(klein), "xyz", (3, 3, 3)) == (None, F(0))
+        res = macaulay_resultant_ternary(*self.partials(klein))
+        assert res == 13492928512 == 2 ** 14 * 7 ** 7
+        self.assert_frame_law(klein, res)
 
     def test_example_510(self):
         e510 = x ** 4 + y ** 4 + z ** 4 + x ** 3 * y + 2 * x ** 3 * z
-        assert macaulay_resultant_ternary(*self.partials(e510), rng=random.Random(0)) \
-            == -95549058323578880
+        assert macaulay_resultant_ternary(*self.partials(e510)) == -95549058323578880
 
     def test_standard_heptad_hessian(self):
-        hq = hessian_quartic(net_from_heptad(STANDARD_HEPTAD), rng=random.Random(0))
+        hq = hessian_quartic(net_from_heptad(STANDARD_HEPTAD))
         assert hq.resultant == int(
-            "1340947699418752504185859843237929664946348744247158782289555454524464660"
-            "7752209327920509535176504268640255285506538218834341199748088701794041064"
-            "3251200000000")
-        # the identity frame degenerates, so the value above comes from one random frame
+            "7620780577657860170399164471820260473638226528083094686634016153720435901"
+            "4717417144438831342135141777493880890982400000000")
+        # the identity frame degenerates, so the value above comes from a retry frame
         assert macaulay_quotient(self.partials(hq.quartic), "xyz", (3, 3, 3)) \
             == (None, F(0))
+        self.assert_frame_law(hq.quartic, hq.resultant)
 
 
 class TestPerfectSquare:
