@@ -714,8 +714,8 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
     numbers.  When the Macaulay minor degenerates, the forms are moved by
     a random invertible integer matrix M, drawn from ``random.Random(0)``,
     and the computation retried.  The quotient in that frame is
-    det(M)^(d^3) * Res, and dividing by that factor makes the value the
-    frame's choice cannot change.  Systems with positive-dimensional zero
+    det(M)^(d^3) * Res; dividing that factor out returns Res itself,
+    whichever frame computed it.  Systems with positive-dimensional zero
     loci can keep the minor singular in every frame; those are decided
     (exactly) by the critical-degree rank test and reported as resultant
     zero.
