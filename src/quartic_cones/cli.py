@@ -247,7 +247,7 @@ def cmd_octad(args) -> tuple:
     if action == "cremona":
         from . import theta as theta_mod
 
-        result = octad_mod.cremona_octad(octad, center, net=net)
+        result = octad_mod.cremona_octad(octad, center)
         label = theta_mod.ThetaChar.from_quadruple(*center).label()
         return {"command": "octad.cremona",
                 "center": list(center),

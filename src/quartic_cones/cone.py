@@ -64,14 +64,14 @@ class ConeEquation:
         weights.update(WEIGHTS)
         if F.weighted_degrees(weights) != {6}:
             raise ConeError("cone equation is not weighted-homogeneous of degree 6")
+        self.partials = {name: F.partial(name) for name in COORDS}
         euler = Poly.zero()
         for name, weight in WEIGHTS.items():
-            euler = euler + weight * Poly.var(name) * F.partial(name)
+            euler = euler + weight * Poly.var(name) * self.partials[name]
         if euler != 6 * F:
             raise ConeError("weighted Euler identity failed")  # pragma: no cover
         self.pair = pair
         self.F = F
-        self.partials = {name: F.partial(name) for name in COORDS}
 
 
 class WeightedPoint:

@@ -37,7 +37,6 @@ from .polycore import (
     matrix_rank,
     nullspace,
     rational_roots,
-    univariate_gcd,
 )
 from .polyio import point_coordinates
 from .record import record
@@ -142,26 +141,29 @@ class QuadricNet:
         """det(x A0 + y A1 + z A2), computed once: the matrices are immutable."""
         return self.symbol_matrix().det()
 
+    def determinant_on_line(self, p, q) -> Poly:
+        """The determinant at a1 p + a2 q: a binary form in a1, a2 for net points p, q."""
+        a1, a2 = Poly.var("a1"), Poly.var("a2")
+        return self.determinant.subs({v: a1 * p[k] + a2 * q[k] for k, v in enumerate("xyz")})
+
 
 class Octad:
     """Eight labeled points of P3, the base locus of a net of quadrics."""
 
-    def __init__(self, points: Sequence, net: Optional[QuadricNet] = None,
-                 validate: bool = True):
-        self._init(tuple(normalize_point(p) for p in points), net, validate)
+    def __init__(self, points: Sequence, net: Optional[QuadricNet] = None):
+        self._init(tuple(normalize_point(p) for p in points), net)
 
-    def _init(self, pts: Tuple[Tuple[Fraction, ...], ...], net, validate: bool):
+    def _init(self, pts: Tuple[Tuple[Fraction, ...], ...], net):
         if len(pts) != 8:
             raise OctadError("an octad has eight points")
-        if validate:
-            for a, b in itertools.combinations(range(8), 2):
-                if pts[a] == pts[b]:
-                    raise OctadError(f"octad points {a + 1} and {b + 1} coincide")
-            if net is not None:
-                for p in pts:
-                    for m in net.matrices:
-                        if quadric_polar(m, p, p) != 0:
-                            raise OctadError(f"point {p} is off the net")
+        for a, b in itertools.combinations(range(8), 2):
+            if pts[a] == pts[b]:
+                raise OctadError(f"octad points {a + 1} and {b + 1} coincide")
+        if net is not None:
+            for p in pts:
+                for m in net.matrices:
+                    if quadric_polar(m, p, p) != 0:
+                        raise OctadError(f"point {p} is off the net")
         self.points = pts
         self.net = net
 
@@ -411,7 +413,7 @@ def eighth_point(net: QuadricNet, rng=None,
         raise OctadError("the eighth point's closed form degenerates")
     candidate = mat_vec(T, [s01 * s02, s01 * s12, s02 * s12, s03 * s12])
     # Octad verifies the point on every generator and against the seven.
-    return _from_normalized(Octad, known + (normalize_point(candidate),), net, True)
+    return _from_normalized(Octad, known + (normalize_point(candidate),), net)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +442,7 @@ def bitangent_line(octad: Octad, net: QuadricNet, i: int, j: int) -> BitangentCe
     if all(c == 0 for c in line):  # pragma: no cover - rank check above
         raise OctadError("degenerate bitangent condition")
 
-    m1, m2 = _line_basis(line)
-    a1, a2 = Poly.var("a1"), Poly.var("a2")
-    restriction = net.determinant.subs({
-        "x": a1 * m1[0] + a2 * m2[0],
-        "y": a1 * m1[1] + a2 * m2[1],
-        "z": a1 * m1[2] + a2 * m2[2],
-    })
+    restriction = net.determinant_on_line(*_line_basis(line))
     root = is_perfect_square(restriction)
     if root is None:
         raise OctadError(f"restriction to bitangent ({i},{j}) is not a perfect square")
@@ -475,10 +471,14 @@ def all_bitangents(octad: Octad, net: QuadricNet, jobs: int = 1) -> List[Bitange
 
 
 def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
-    """Binary quartic det(alpha M(p1) + beta M(p2)) and the j of its fiber.
+    """The Hessian quartic on the line p1 p2 of the net plane, and the j of its fiber.
 
-    The squarefree test follows the gcd-with-derivative route; j comes
-    from the binary-quartic invariants, and additionally from the
+    ``binary_quartic`` holds the coefficients c0..c4 of
+    det(alpha M(p1) + beta M(p2)) = sum c_k alpha^(4-k) beta^k, read from
+    ``QuadricNet.determinant_on_line``.  A nonzero binary quartic is
+    squarefree exactly when its discriminant 4 h2^3 - 27 h3^2, the
+    denominator of j, is nonzero; otherwise NonSquarefree is raised.  j
+    comes from the binary-quartic invariants, and additionally from the
     cross-ratio of the four singular parameters whenever those are found
     rational.  The two routes must agree.
     """
@@ -488,20 +488,14 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     p2 = point_coordinates(netpoint2, "P2")
     if matrix_rank([list(p1), list(p2)]) != 2:
         raise OctadError("net points must be independent")
-    M1 = net.matrix_at(p1)
-    M2 = net.matrix_at(p2)
-    alpha, beta = Poly.var("alpha"), Poly.var("beta")
-    entries = [[alpha * M1[i][j] + beta * M2[i][j] for j in range(4)] for i in range(4)]
-    d = PolyMatrix(entries, symmetric=True).det()
-    by = coefficients_multi(d, ("alpha", "beta"))
+    by = coefficients_multi(net.determinant_on_line(p1, p2), ("a1", "a2"))
     coeffs = tuple(by.get((4 - k, k), Poly.zero()).constant_value() for k in range(5))
     if all(c == 0 for c in coeffs):
         raise NonSquarefree("determinant vanishes identically on the pencil")
-
-    if not _binary_quartic_squarefree(coeffs):
-        raise NonSquarefree(f"restricted determinant {coeffs} has a repeated root")
-
-    j_invariant = cov.j_of_binary_quartic(coeffs)
+    try:
+        j_invariant = cov.j_of_binary_quartic(coeffs)
+    except (cov.DegenerateQuadruple, cov.IndeterminateJ):
+        raise NonSquarefree(f"restricted determinant {coeffs} has a repeated root") from None
 
     lam = Poly.var("lam")
     affine = sum((Poly.const(coeffs[k]) * lam ** k for k in range(5)), Poly.zero())
@@ -518,20 +512,6 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     return PencilFiber((p1, p2), coeffs, True, params, ratio, j_invariant)
 
 
-def _binary_quartic_squarefree(coeffs: Sequence[Fraction]) -> bool:
-    """Squarefree test for c0 a^4 + c1 a^3 b + ... + c4 b^4 via gcds.
-
-    Dehomogenize at b = 1: the root [1:0] has multiplicity 4 - deg, and
-    finite repeated roots are caught by gcd with the derivative.
-    """
-    lam = Poly.var("lam")
-    g = sum((Poly.const(coeffs[k]) * lam ** (4 - k) for k in range(5)), Poly.zero())
-    deg = g.degree_in("lam")
-    if deg <= 2:
-        return False  # [1:0] has multiplicity >= 2
-    return univariate_gcd(g, g.partial("lam"), "lam").degree_in("lam") < 1
-
-
 def dual_point_of_line(p1, p2) -> Tuple[Fraction, Fraction, Fraction]:
     """Cross product: the dual coordinates of the line through p1, p2."""
     a = tuple(Fraction(c) for c in p1)
@@ -545,7 +525,7 @@ def dual_point_of_line(p1, p2) -> Tuple[Fraction, Fraction, Fraction]:
 # Cremona and Gale transforms
 
 
-def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet] = None) -> CremonaResult:
+def cremona_octad(octad: Octad, center: Sequence[int]) -> CremonaResult:
     """Standard Cremona transformation centered at four octad points.
 
     The center is normalized to the coordinate simplex; there the net's
@@ -553,12 +533,8 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
     coefficient a_{ab} x_a x_b with the complementary-index coefficient.
     The determinant of the net matrix is preserved exactly, the four
     center points stay put, and the other four points map through
-    coordinate-wise inversion.
+    coordinate-wise inversion.  The octad must carry its net.
     """
-    if net is None:
-        net = octad.net
-    if net is None:
-        raise OctadError("cremona_octad needs the octad's net")
     labels = tuple(center)
     if len(labels) != 4 or len(set(labels)) != 4 or not all(1 <= c <= 8 for c in labels):
         raise OctadError("center must be four distinct labels in 1..8")
@@ -568,6 +544,9 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
         Tinv = inverse(T)
     except PolyError:
         raise OctadError("center points are projectively dependent") from None
+    net = octad.net
+    if net is None:
+        raise OctadError("cremona_octad needs the octad's net")
 
     # One common scalar across the three generators: per-generator scaling
     # would reparametrize the net plane and spoil exact det preservation.
@@ -608,7 +587,7 @@ def cremona_octad(octad: Octad, center: Sequence[int], net: Optional[QuadricNet]
 
     norm_net = QuadricNet(B, basepoints=[mat_vec(Tinv, p) for p in octad.points])
     new_net = QuadricNet(Bp, basepoints=moved_points)
-    new_octad = _from_normalized(Octad, new_net.basepoints, new_net, True)
+    new_octad = _from_normalized(Octad, new_net.basepoints, new_net)
     return CremonaResult(new_octad, new_net, norm_net,
                          norm_net.determinant == new_net.determinant)
 

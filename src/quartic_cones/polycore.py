@@ -571,14 +571,8 @@ def resultant_bivariate(p: Poly, q: Poly, var: str) -> Poly:
 
 def coefficients_in(p: Poly, var: str) -> list:
     """Dense coefficient list [c0, c1, ...] of p as a polynomial in ``var``."""
-    deg = max(p.degree_in(var), 0)
-    coeffs = [Poly.zero()] * (deg + 1)
-    for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        e = exps.pop(var, 0)
-        rest = tuple(sorted(exps.items()))
-        coeffs[e] = coeffs[e] + Poly({rest: coeff})
-    return coeffs
+    by = coefficients_multi(p, (var,))
+    return [by.get((e,), Poly.zero()) for e in range(max(p.degree_in(var), 0) + 1)]
 
 
 def coefficients_multi(p: Poly, variables: Sequence[str]) -> Dict[Tuple[int, ...], Poly]:
@@ -748,11 +742,11 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
             return quotient / scale
         if attempt == 1 and not ideal_spans_critical_degree(forms, vs, (d, d, d)):
             return Fraction(0)
-        mat = random_invertible(3, rng, 5)
+        mat, det = random_invertible(3, rng, 5)
         images = {v: sum((Poly.var(w) * c for w, c in zip(vs, row)), Poly.zero())
                   for v, row in zip(vs, mat)}
         current = [f.subs(images) for f in forms]
-        scale = det_fraction(mat) ** d ** 3
+        scale = det ** d ** 3
     raise MacaulayDegenerateError("Macaulay minor vanished for every coordinate change")
 
 
@@ -1054,15 +1048,16 @@ def congruence(m: Sequence[Sequence[Fraction]], s: Sequence[Sequence[Fraction]])
     return [[sum(s[k][i] * ms[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def random_invertible(n: int, rng, bound: int) -> list:
-    """Random n x n matrix with entries in [-bound, bound] and nonzero determinant.
+def random_invertible(n: int, rng, bound: int) -> Tuple[list, Fraction]:
+    """Random n x n matrix with entries in [-bound, bound], and its nonzero determinant.
 
     Entries are drawn row by row; singular draws are discarded whole.
     """
     while True:
         m = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-        if det_fraction(m) != 0:
-            return m
+        det = det_fraction(m)
+        if det != 0:
+            return m, det
 
 
 def clear_denominators(vec: Sequence[Fraction]):

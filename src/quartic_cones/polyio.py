@@ -43,7 +43,7 @@ class ParseError(Exception):
         self.column = col
 
 
-AMBIENT_SIZES = {"P2": 3, "P3": 4, "P11123": 5}
+AMBIENT_SIZES = {"P2": 3, "P3": 4}
 
 # Caps on a parsed expression (see the module docstring).  A plane quartic
 # with parameters stays far below both.

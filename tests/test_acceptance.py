@@ -297,14 +297,14 @@ def test_criterion_07_octad_suite():
                          f"bitangents ({elapsed:.1f}s)")
 
 
-def test_criterion_08_cremona_invariance(standard_octad, standard_net):
+def test_criterion_08_cremona_invariance(standard_octad):
     ok = True
     for center in ((1, 2, 3, 4), (5, 6, 7, 8)):
-        result = cremona_octad(standard_octad, center, net=standard_net)
+        result = cremona_octad(standard_octad, center)
         ok &= result.det_preserved
         h_norm = result.normalized_source_net.symbol_matrix().det()
         ok &= h_norm == result.net.symbol_matrix().det()
-    once = cremona_octad(standard_octad, (1, 2, 3, 4), net=standard_net)
+    once = cremona_octad(standard_octad, (1, 2, 3, 4))
     twice = cremona_octad(once.octad, (1, 2, 3, 4))
     ok &= configs_projectively_equivalent(twice.octad.points,
                                           standard_octad.points)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quartic_cones import octad as octad_mod
@@ -33,7 +33,7 @@ from quartic_cones.octad import (
     quadric_eval,
     steinerian_point,
 )
-from quartic_cones.polycore import det_fraction, matrix_rank
+from quartic_cones.polycore import Poly, PolyMatrix, det_fraction, matrix_rank, univariate_gcd
 from quartic_cones.polyio import parse_poly
 
 from conftest import COPLANAR, SEED1_HEPTADS, STANDARD_HEPTAD, TWISTED_CUBIC
@@ -302,33 +302,137 @@ class TestPencilFiber:
             checked += 1
 
 
+def has_repeated_root(coeffs):
+    """Whether c0 a^4 + c1 a^3 b + ... + c4 b^4 has a repeated root in P1.
+
+    Dehomogenized at b = 1, the root [1:0] has multiplicity 4 - deg g, and
+    a repeated finite root divides gcd(g, g').
+    """
+    lam = Poly.var("lam")
+    g = sum((Poly.const(c) * lam ** (4 - k) for k, c in enumerate(coeffs)), Poly.zero())
+    if g.degree_in("lam") <= 2:
+        return True
+    return univariate_gcd(g, g.partial("lam"), "lam").degree_in("lam") > 0
+
+
+def product_coefficients(forms):
+    """Coefficients of alpha^4, alpha^3 beta, ..., beta^4 in prod (a alpha + b beta)."""
+    coeffs = [1]
+    for a, b in forms:
+        coeffs = [a * (coeffs[k] if k < len(coeffs) else 0) + b * (coeffs[k - 1] if k else 0)
+                  for k in range(len(coeffs) + 1)]
+    return tuple(F(c) for c in coeffs)
+
+
+@st.composite
+def split_binary_quartics(draw):
+    """Four integer linear forms a alpha + b beta with a drawn root pattern.
+
+    The root multiplicities are 1,1,1,1 (drawn twice as often), 2,1,1,
+    2,2 or 3,1, and the first root sits at [1:0] (a = 0) in one draw of
+    three.
+    """
+    pattern = draw(st.sampled_from([(1, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1)]))
+    form = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+    roots = draw(st.lists(form, min_size=len(pattern), max_size=len(pattern),
+                          unique_by=lambda f: F(f[1], f[0]) if f[0] else None))
+    if draw(st.integers(0, 2)) == 0 and all(a for a, _ in roots):
+        roots[0] = (0, draw(st.sampled_from([1, -3])))
+    scalar = st.sampled_from([-2, -1, 1, 3])
+    return [(c * a, c * b) for (a, b), m in zip(roots, pattern)
+            for c in [draw(scalar) for _ in range(m)]]
+
+
+def diagonal_pencil_net(forms):
+    """A net whose pencil through (1:0:0) and (0:1:0) is diag(a alpha + b beta)."""
+    def diagonal(v):
+        return [[v[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+    anti = [[int(i + j == 3) for j in range(4)] for i in range(4)]
+    return QuadricNet([diagonal([a for a, _ in forms]), diagonal([b for _, b in forms]), anti])
+
+
+@pytest.fixture(scope="module")
+def seed1_net():
+    return net_from_heptad(SEED1_HEPTADS[1])
+
+
+class TestPencilFiberOracles:
+    @pytest.mark.parametrize("which", ["standard", "seed1"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_binary_quartic_is_the_pencil_determinant(self, which, data, standard_net,
+                                                      seed1_net):
+        net = standard_net if which == "standard" else seed1_net
+        point = st.tuples(*[st.integers(-6, 6)] * 3).filter(any)
+        p1, p2 = data.draw(point), data.draw(point)
+        if matrix_rank([list(p1), list(p2)]) != 2:
+            with pytest.raises(OctadError, match="independent"):
+                pencil_fiber(net, p1, p2)
+            return
+        alpha, beta = Poly.var("alpha"), Poly.var("beta")
+        m1, m2 = net.matrix_at(p1), net.matrix_at(p2)
+        d = PolyMatrix([[alpha * m1[i][j] + beta * m2[i][j] for j in range(4)]
+                        for i in range(4)], symmetric=True).det()
+        by_exponents = {(dict(m).get("alpha", 0), dict(m).get("beta", 0)): c
+                        for m, c in d.terms.items()}
+        expected = tuple(F(by_exponents.get((4 - k, k), 0)) for k in range(5))
+        try:
+            fiber = pencil_fiber(net, p1, p2)
+        except NonSquarefree:
+            assert has_repeated_root(expected)
+        else:
+            assert fiber.binary_quartic == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_binary_quartics())
+    @example([(1, 0), (1, 0), (0, 1), (1, 1)])  # double root at [1:0]
+    @example([(1, 2), (2, 4), (-1, -2), (0, 1)])  # triple root: h2 = h3 = 0
+    @example([(0, 1), (1, 1), (1, -1), (1, 2)])  # simple root at [1:0]
+    @example([(1, 3), (2, -1), (1, 3), (1, 1)])  # double finite root
+    def test_non_squarefree_exactly_on_a_repeated_root(self, forms):
+        assume(matrix_rank([[a for a, _ in forms], [b for _, b in forms]]) == 2)
+        expected = product_coefficients(forms)
+        net = diagonal_pencil_net(forms)
+        if has_repeated_root(expected):
+            with pytest.raises(NonSquarefree, match="repeated root"):
+                pencil_fiber(net, (1, 0, 0), (0, 1, 0))
+        else:
+            fiber = pencil_fiber(net, (1, 0, 0), (0, 1, 0))
+            assert fiber.binary_quartic == expected
+
+
 class TestCremona:
-    def test_determinant_preserved_and_hessian_scalar(self, standard_octad, standard_net):
-        result = cremona_octad(standard_octad, (1, 2, 3, 4), net=standard_net)
+    def test_determinant_preserved_and_hessian_scalar(self, standard_octad):
+        result = cremona_octad(standard_octad, (1, 2, 3, 4))
         assert result.det_preserved
         h_norm = result.normalized_source_net.symbol_matrix().det()
         h_new = result.net.symbol_matrix().det()
         assert h_norm == h_new
 
-    def test_double_application_is_projective_identity(self, standard_octad, standard_net):
-        once = cremona_octad(standard_octad, (1, 2, 3, 4), net=standard_net)
+    def test_double_application_is_projective_identity(self, standard_octad):
+        once = cremona_octad(standard_octad, (1, 2, 3, 4))
         twice = cremona_octad(once.octad, (1, 2, 3, 4))
         assert configs_projectively_equivalent(twice.octad.points,
                                                standard_octad.points)
 
-    def test_complementary_center(self, standard_octad, standard_net):
-        result = cremona_octad(standard_octad, (5, 6, 7, 8), net=standard_net)
+    def test_complementary_center(self, standard_octad):
+        result = cremona_octad(standard_octad, (5, 6, 7, 8))
         assert result.det_preserved
         from quartic_cones.theta import ThetaChar
 
         assert ThetaChar.from_quadruple(1, 2, 3, 4) == ThetaChar.from_quadruple(5, 6, 7, 8)
 
-    def test_dependent_center_rejected(self, standard_octad, standard_net):
+    def test_dependent_center_rejected(self):
         bad = Octad([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
-                     (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25), (2, 3, 4, 5)],
-                    validate=False)
+                     (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25), (2, 3, 4, 5)])
         with pytest.raises(OctadError, match="center points are projectively dependent"):
-            cremona_octad(bad, (1, 2, 3, 4), net=standard_net)
+            cremona_octad(bad, (1, 2, 3, 4))
+
+    def test_octad_without_net_rejected(self, standard_octad):
+        netless = Octad(standard_octad.points)
+        with pytest.raises(OctadError, match="needs the octad's net"):
+            cremona_octad(netless, (1, 2, 3, 4))
 
 
 class TestGale:
@@ -340,8 +444,7 @@ class TestGale:
 
     def test_synthetic_collinear_violation(self):
         fake = Octad([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1),
-                      (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25), (2, 3, 0, 0)],
-                     validate=False)
+                      (1, 1, 1, 1), (1, 2, 3, 4), (1, 4, 9, 25), (2, 3, 0, 0)])
         report = gale_transform(fake)
         assert not report.ok
         assert report.collinear_triples

@@ -418,7 +418,7 @@ class TestLinearAlgebra:
     def test_congruence_moves_the_quadratic_form(self):
         rng = random.Random(3)
         m = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-        s = random_invertible(3, rng, 4)
+        s, _ = random_invertible(3, rng, 4)
         c = congruence(m, s)
         for vec in ([F(1), F(0), F(2)], [F(-1), F(3), F(1, 2)]):
             sy = mat_vec(s, vec)
@@ -426,10 +426,10 @@ class TestLinearAlgebra:
                 == sum(a * b for a, b in zip(vec, mat_vec(c, vec)))
 
     def test_random_invertible_draws_row_by_row(self):
-        m = random_invertible(4, random.Random(5), 4)
+        m, det = random_invertible(4, random.Random(5), 4)
         rng = random.Random(5)
         first_draw = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        assert det_fraction(first_draw) == 228  # invertible, so it is kept as drawn
+        assert det == det_fraction(first_draw) == 228  # invertible, so it is kept as drawn
         assert m == first_draw
 
 
