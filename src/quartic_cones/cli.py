@@ -62,16 +62,19 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}")
+
+
 def _load_quartic(path: str):
     from . import covariants as cov
     from .polyio import parse_poly, scan_identifiers
 
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}")
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines()).strip()
+    text = "\n".join(line.split("#", 1)[0] for line in _read(path).splitlines()).strip()
     idents = scan_identifiers(text)
     declared = tuple(dict.fromkeys(("x", "y", "z") + idents))
     poly = parse_poly(text, declared)
@@ -82,12 +85,7 @@ def _load_quartic(path: str):
 def _load_points(path: str, count_options) -> list:
     from .polyio import parse_points_file
 
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}")
-    points = parse_points_file(text, "P3")
+    points = parse_points_file(_read(path), "P3")
     if len(points) not in count_options:
         raise InputError(f"expected {' or '.join(map(str, count_options))} points "
                          f"in {path}, found {len(points)}")
@@ -106,7 +104,7 @@ def _smoothness_report(curve) -> dict:
             "smooth": res != 0}
 
 
-def cmd_covariants(args) -> tuple:
+def cmd_covariants(args) -> dict:
     from . import covariants as cov
     from .polyio import print_poly
 
@@ -130,10 +128,10 @@ def cmd_covariants(args) -> tuple:
             {**{v: 0 for v in G.variables}, "s": 1, "t": 1, "u": 1}),
         "input_smoothness": _smoothness_report(curve),
     }
-    return report, EXIT_OK
+    return report
 
 
-def cmd_j(args) -> tuple:
+def cmd_j(args) -> dict:
     from . import covariants as cov
     from .polyio import parse_point
 
@@ -142,10 +140,7 @@ def cmd_j(args) -> tuple:
         raise InputError("j evaluation needs a parameter-free quartic")
     point = parse_point(args.point, "P2")
     pair = cov.covariants(curve)
-    at = dict(zip("stu", point))
-    g4v = pair.g4.eval_at(at)
-    g6v = pair.g6.eval_at(at)
-    G = 4 * g4v ** 3 - 27 * g6v ** 2
+    g4v, g6v, G = cov.dual_values(pair, point)
     report = {
         "command": "j",
         "input": text,
@@ -155,14 +150,13 @@ def cmd_j(args) -> tuple:
         "dual_curve_value": _frac(G),
     }
     try:
-        value = cov.j_eval(pair, point)
+        report["j"] = _frac(cov.j_of_values(point, g4v, g6v, G))
         report["status"] = "ok"
-        report["j"] = _frac(value)
     except cov.IndeterminateJ:
         report["status"] = "indeterminate"
     except cov.OnDualCurve:
         report["status"] = "on_dual_curve"
-    return report, EXIT_OK
+    return report
 
 
 def _aronhold_json(rep) -> dict:
@@ -190,7 +184,7 @@ def _parse_center(raw) -> tuple:
     return center
 
 
-def cmd_octad(args) -> tuple:
+def cmd_octad(args) -> dict:
     from . import octad as octad_mod
     from .polyio import print_poly
 
@@ -204,19 +198,19 @@ def cmd_octad(args) -> tuple:
 
     if action == "check":
         rep = octad_mod.aronhold_check(points)
-        return {"command": "octad.check", **_aronhold_json(rep)}, EXIT_OK
+        return {"command": "octad.check", **_aronhold_json(rep)}
 
     net = octad_mod.net_from_heptad(points[:7])
     if action == "net":
         return {"command": "octad.net",
                 "dimension": 3,
-                "matrices": [_matrix_json(m) for m in net.matrices]}, EXIT_OK
+                "matrices": [_matrix_json(m) for m in net.matrices]}
     if action == "hessian":
         hq = octad_mod.hessian_quartic(net)
         return {"command": "octad.hessian",
                 "quartic": print_poly(hq.quartic),
                 "smooth": hq.smooth,
-                "macaulay_resultant": _frac(hq.resultant)}, EXIT_OK
+                "macaulay_resultant": _frac(hq.resultant)}
     if action == "eighth":
         octad = octad_mod.eighth_point(net)
         p8 = octad.point(8)
@@ -224,7 +218,7 @@ def cmd_octad(args) -> tuple:
         return {"command": "octad.eighth",
                 "eighth_point": _point_json(p8),
                 "verified_on_generators": verified,
-                "octad": [_point_json(p) for p in octad.points]}, EXIT_OK
+                "octad": [_point_json(p) for p in octad.points]}
 
     if len(points) == 8:
         octad = octad_mod.Octad(points, net=net)
@@ -242,7 +236,7 @@ def cmd_octad(args) -> tuple:
                     "line": _point_json(c.line),
                     "restriction": print_poly(c.restriction),
                     "square_root": print_poly(c.square_root),
-                } for c in certs]}, EXIT_OK
+                } for c in certs]}
 
     if action == "cremona":
         from . import theta as theta_mod
@@ -251,26 +245,23 @@ def cmd_octad(args) -> tuple:
         label = theta_mod.ThetaChar.from_quadruple(*center).label()
         return {"command": "octad.cremona",
                 "center": list(center),
-                "center_theta_label": list(label) if isinstance(label, tuple) else label,
+                "center_theta_label": list(label),
                 "determinant_preserved": result.det_preserved,
                 "hessian_scalar_equal": result.det_preserved,
                 "new_octad": [_point_json(p) for p in result.octad.points],
                 "new_net": [_matrix_json(m) for m in result.net.matrices],
                 "normalized_source_net":
-                    [_matrix_json(m) for m in result.normalized_source_net.matrices]}, EXIT_OK
+                    [_matrix_json(m) for m in result.normalized_source_net.matrices]}
 
-    if action == "gale":
-        rep = octad_mod.gale_transform(octad)
-        return {"command": "octad.gale",
-                "projected_points": [_point_json(p) for p in rep.points],
-                "collinear_triples": [list(t) for t in rep.collinear_triples],
-                "six_on_conic": [list(t) for t in rep.conic_six_tuples],
-                "checks_pass": rep.ok}, EXIT_OK
-
-    raise InputError(f"unknown octad action {action!r}")
+    rep = octad_mod.gale_transform(octad)
+    return {"command": "octad.gale",
+            "projected_points": [_point_json(p) for p in rep.points],
+            "collinear_triples": [list(t) for t in rep.collinear_triples],
+            "six_on_conic": [list(t) for t in rep.conic_six_tuples],
+            "checks_pass": rep.ok}
 
 
-def cmd_theta(args) -> tuple:
+def cmd_theta(args) -> dict:
     from . import theta as theta_mod
 
     if args.action == "count":
@@ -279,21 +270,19 @@ def cmd_theta(args) -> tuple:
         count = theta_mod.aronhold_enumerate("count")
         return {"command": "theta.count",
                 "odd": odd, "even": len(model) - odd,
-                "aronhold": count}, EXIT_OK
-    if args.action == "aronhold":
-        systems = theta_mod.aronhold_enumerate("list")
-        hist = theta_mod.even_fiber_histogram(systems)
-        report = {"command": "theta.aronhold",
-                  "count": len(systems),
-                  "fiber_sizes": sorted(set(hist.values())),
-                  "fibers": len(hist)}
-        if args.list:
-            report["systems"] = [[list(p) for p in s.pair_labels()] for s in systems]
-        return report, EXIT_OK
-    raise InputError(f"unknown theta action {args.action!r}")
+                "aronhold": count}
+    systems = theta_mod.aronhold_enumerate("list")
+    hist = theta_mod.even_fiber_histogram(systems)
+    report = {"command": "theta.aronhold",
+              "count": len(systems),
+              "fiber_sizes": sorted(set(hist.values())),
+              "fibers": len(hist)}
+    if args.list:
+        report["systems"] = [[list(p) for p in s.pair_labels()] for s in systems]
+    return report
 
 
-def cmd_s4(args) -> tuple:
+def cmd_s4(args) -> dict:
     from . import cone as cone_mod
     from . import covariants as cov
     from .polyio import parse_poly, parse_rational, print_poly
@@ -323,9 +312,8 @@ def cmd_s4(args) -> tuple:
         report["planes_omitted"] = family.planes_omitted_reason
     if family.lam == 0:
         fermat = cov.QuarticCurve(parse_poly("x^4+y^4+z^4", "xyz"))
-        fermat_cone = cone_mod.cone_equation(cov.covariants(fermat))
-        report["fermat_consistent"] = family.cone.F == fermat_cone.F
-    return report, EXIT_OK
+        report["fermat_consistent"] = family.cone.F == cov.covariants(fermat).cone.F
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = args.func(args)
+        report = args.func(args)
     except Exception as err:
         from .polycore import PolyError
         from .polyio import ParseError
@@ -382,7 +370,7 @@ def main(argv=None) -> int:
             return EXIT_MATH
         raise
     sys.stdout.write(_render(report, args.format))
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

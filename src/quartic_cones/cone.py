@@ -252,7 +252,7 @@ def s4_family(lam) -> S4FamilyData:
         + lam_value * (y ** 2 * z ** 2 + x ** 2 * z ** 2 + x ** 2 * y ** 2)
     curve = QuarticCurve(quartic_poly)
     pair = covariants(curve)
-    cone = ConeEquation(pair)
+    cone = pair.cone
 
     s, t, u = (Poly.var(n) for n in STU)
     mu = lam_value * Fraction(2, 3)

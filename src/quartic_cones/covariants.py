@@ -204,18 +204,30 @@ def dual_curve(pair: CovariantPair) -> DualCurve:
     return DualCurve(4 * pair.g4 ** 3 - 27 * pair.g6 ** 2)
 
 
+def dual_values(pair: CovariantPair, point) -> Tuple[Fraction, Fraction, Fraction]:
+    """g4, g6 and the dual curve G = 4 g4^3 - 27 g6^2 at a rational dual-plane point."""
+    at = dict(zip(STU, point_coordinates(point, "P2")))
+    g4v, g6v = pair.g4.eval_at(at), pair.g6.eval_at(at)
+    return g4v, g6v, 4 * g4v ** 3 - 27 * g6v ** 2
+
+
+def j_of_values(where, a: Fraction, b: Fraction, disc: Fraction) -> Fraction:
+    """j = 1728 * 4 a^3 / disc for binary-quartic invariants a, b and disc = 4 a^3 - 27 b^2.
+
+    The invariants are g4, g6 at a dual point (``dual_values``) or h2, h3.
+    Raises IndeterminateJ(where) when a = b = 0 and OnDualCurve(where, a,
+    b) when only disc vanishes.
+    """
+    if disc == 0:
+        if a == 0 and b == 0:
+            raise IndeterminateJ(where)
+        raise OnDualCurve(where, a, b)
+    return 1728 * 4 * a ** 3 / disc
+
+
 def j_eval(pair: CovariantPair, point) -> Fraction:
     """Exact j-value at a rational dual-plane point, off the dual curve."""
-    s0, t0, u0 = point_coordinates(point, "P2")
-    at = {"s": s0, "t": t0, "u": u0}
-    g4v = pair.g4.eval_at(at)
-    g6v = pair.g6.eval_at(at)
-    den = 4 * g4v ** 3 - 27 * g6v ** 2
-    if den == 0:
-        if g4v == 0 and g6v == 0:
-            raise IndeterminateJ((s0, t0, u0))
-        raise OnDualCurve((s0, t0, u0), g4v, g6v)
-    return 1728 * 4 * g4v ** 3 / den
+    return j_of_values(point, *dual_values(pair, point))
 
 
 def j_from_roots(x1, x2, x3, x4) -> Fraction:
@@ -258,9 +270,7 @@ def cross_ratio(x1, x2, x3, x4) -> Fraction:
 def j_of_binary_quartic(b: Sequence[Fraction]) -> Fraction:
     """j of a squarefree binary quartic given by its five coefficients."""
     h2, h3 = binary_invariants([Fraction(v) for v in b])
-    den = 4 * h2 ** 3 - 27 * h3 ** 2
-    if den == 0:
-        if h2 == 0 and h3 == 0:
-            raise IndeterminateJ(tuple(b))
-        raise DegenerateQuadruple("binary quartic has a repeated root (discriminant 0)")
-    return 1728 * 4 * h2 ** 3 / den
+    try:
+        return j_of_values(tuple(b), h2, h3, 4 * h2 ** 3 - 27 * h3 ** 2)
+    except OnDualCurve:
+        raise DegenerateQuadruple("binary quartic has a repeated root (discriminant 0)") from None

@@ -7,10 +7,10 @@ pencil is a plane quartic (the Hessian quartic of the net), the base
 locus of the net is a regular Cayley octad when the heptad is Aronhold,
 and the pairs of octad points mark the 28 bitangents of the Hessian
 quartic.  Everything here is exact rational linear algebra over
-polycore, including a closed form for the eighth base point; the one
-elimination left is the Macaulay certificate of the Hessian quartic's
-smoothness, which ``eighth_point`` settles by one determinant modulo a
-prime whenever that residue is nonzero.
+polycore, including a closed form for the eighth base point.  The
+Aronhold verdict that ``eighth_point`` needs is frame-free: the Hessian
+quartic is smooth exactly when its partials span the critical degree,
+which one rank modulo a prime proves whenever that rank is full.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .polycore import (
     clear_denominators,
     coefficients_multi,
     congruence,
+    critical_degree_rows,
     det_fraction,
+    ideal_spans_critical_degree,
     inverse,
     is_perfect_square,
-    macaulay_matrix,
     macaulay_resultant_ternary,
     mat_vec,
     matrix_rank,
@@ -134,7 +135,7 @@ class QuadricNet:
                 for i in range(4)]
 
     def symbol_matrix(self) -> PolyMatrix:
-        return PolyMatrix(self.matrix_at([Poly.var(n) for n in "xyz"]), symmetric=True)
+        return PolyMatrix(self.matrix_at([Poly.var(n) for n in "xyz"]))
 
     @cached_property
     def determinant(self) -> Poly:
@@ -194,7 +195,6 @@ class AronholdReport:
 class PencilFiber:
     netpoints: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     binary_quartic: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-    squarefree: bool
     singular_parameters: Optional[Tuple[Fraction, ...]]
     cross_ratio: Optional[Fraction]
     j: Fraction
@@ -262,14 +262,10 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
     return _from_normalized(QuadricNet, matrices, pts)
 
 
-def _is_plane_quartic(quartic: Poly) -> bool:
-    return not quartic.is_zero() and quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) == {4}
-
-
 def hessian_quartic(net: QuadricNet) -> HessianQuartic:
     """det(x A0 + y A1 + z A2) with its Macaulay smoothness certificate."""
     quartic = net.determinant
-    if not _is_plane_quartic(quartic):
+    if quartic.is_zero() or quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) != {4}:
         return HessianQuartic(quartic, False, Fraction(0))
     res = macaulay_resultant_ternary(quartic.partial("x"), quartic.partial("y"),
                                      quartic.partial("z"))
@@ -306,46 +302,45 @@ def aronhold_check(points: Sequence) -> AronholdReport:
                           hess.smooth, hess.resultant, verdict)
 
 
-def det_nonzero_mod_p(rows: Sequence[Sequence[Fraction | int]]) -> bool:
-    """True when a residue mod ``CERTIFICATE_PRIME`` proves det(rows) != 0.
+def rank_mod_p(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """The rank modulo ``CERTIFICATE_PRIME`` of a rational matrix.
 
-    The rows are scaled to integers as in ``det_fraction``
+    The rows are scaled to integers as in ``matrix_rank``
     (``_integer_rows``), and the integer matrix is reduced by Gaussian
-    elimination mod p.  A nonzero residue proves the determinant nonzero;
-    False means no proof: the determinant is zero or divisible by p.
+    elimination mod p.  A minor that is nonzero mod p is nonzero, so the
+    result never exceeds the rank over Q; it falls short only when p
+    divides every nonzero maximal minor.
     """
     p = CERTIFICATE_PRIME
     m = [[v % p for v in row] for row in _integer_rows(rows)[0]]
-    n = len(m)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if pivot_row is None:
-            return False
-        m[k], m[pivot_row] = m[pivot_row], m[k]
-        top = m[k][k + 1:]
-        inverse_pivot = pow(m[k][k], -1, p)
-        for i in range(k + 1, n):
-            row = m[i]
-            factor = row[k] * inverse_pivot % p
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank][c + 1:]
+        inverse_pivot = pow(m[rank][c], -1, p)
+        for row in m[rank + 1:]:
+            factor = row[c] * inverse_pivot % p
             if factor:
-                m[i][k + 1:] = [(b - factor * c) % p for b, c in zip(row[k + 1:], top)]
-    return True
+                row[c + 1:] = [(b - factor * t) % p for b, t in zip(row[c + 1:], top)]
+        rank += 1
+    return rank
 
 
 def _hessian_smooth(net: QuadricNet) -> bool:
-    """Whether the Hessian quartic is smooth, proved mod p where it can be.
+    """Whether the Hessian quartic is smooth, decided in no coordinate frame.
 
-    det M = Res * det M' for the Macaulay matrix M of the quartic's three
-    partials (``macaulay_matrix``), so a nonzero residue of det M in the
-    identity frame proves Res != 0.  A zero or non-quartic determinant or
-    a vanishing residue goes to the exact ``hessian_quartic``.
+    A plane quartic is smooth exactly when its partials have no common
+    zero, that is when their map into degree 7 (``critical_degree_rows``,
+    45 x 36) has full rank (Macaulay 1903).  A full rank mod p proves it;
+    a shortfall goes to the exact ``ideal_spans_critical_degree``.
     """
-    quartic = net.determinant
-    if _is_plane_quartic(quartic):
-        rows, _ = macaulay_matrix([quartic.partial(v) for v in "xyz"], "xyz", (3, 3, 3))
-        if det_nonzero_mod_p(rows):
-            return True
-    return hessian_quartic(net).smooth
+    partials = [net.determinant.partial(v) for v in "xyz"]
+    rows, columns = critical_degree_rows(partials, "xyz", (3, 3, 3))
+    return (rank_mod_p(rows) == columns
+            or ideal_spans_critical_degree(partials, "xyz", (3, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +364,11 @@ def eighth_point(net: QuadricNet, rng=None,
 
     Without ``check`` the Aronhold verdict is computed on ``net`` itself
     (its Hessian determinant is then cached for later consumers).  The
-    verdict needs only Res != 0 for the quartic's partials, never the
-    value: one Macaulay determinant in the identity frame, reduced modulo
-    ``CERTIFICATE_PRIME``, proves it when its residue is nonzero, since
-    det M = Res * det M'.  A zero residue (a singular quartic, a
-    degenerate identity-frame minor or an unlucky prime) falls back to the
-    exact ``hessian_quartic``, with its frame retries and rank test.
-    ``rng`` is unused and kept for callers that pass one.
+    verdict needs only that the quartic is smooth, never its resultant:
+    ``_hessian_smooth`` proves it by a full rank of the partials'
+    critical-degree map modulo ``CERTIFICATE_PRIME``, in no coordinate
+    frame, and decides a shortfall by the exact rank.  ``rng`` is unused
+    and kept for callers that pass one.
     """
     if len(net.basepoints) < 7:
         raise OctadError("eighth_point needs the net's seven defining points")
@@ -509,7 +502,7 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
             if cov.j_from_cross_ratio(ratio) != j_invariant:
                 raise cov.InternalConsistencyError(
                     "cross-ratio route and invariant route disagree")
-    return PencilFiber((p1, p2), coeffs, True, params, ratio, j_invariant)
+    return PencilFiber((p1, p2), coeffs, params, ratio, j_invariant)
 
 
 def dual_point_of_line(p1, p2) -> Tuple[Fraction, Fraction, Fraction]:

@@ -450,19 +450,14 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
 
 
 class PolyMatrix:
-    """Square grid of Poly entries; ``symmetric=True`` checks that they are symmetric."""
+    """Square grid of Poly entries."""
 
-    def __init__(self, entries: Sequence[Sequence[Poly]], symmetric: bool = False):
+    def __init__(self, entries: Sequence[Sequence[Poly]]):
         rows = tuple(tuple(e if isinstance(e, Poly) else Poly.const(e) for e in row)
                      for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise PolyError("PolyMatrix must be square")
-        if symmetric:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[i][j] != rows[j][i]:
-                        raise PolyError(f"symmetric flag set but entry ({i},{j}) != ({j},{i})")
         self.entries = rows
         self.n = n
 
@@ -676,6 +671,21 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     return det_fraction(rows) / minor_value, minor_value
 
 
+def critical_degree_rows(forms: Sequence[Poly], variables: Sequence[str],
+                         degrees: Sequence[int]) -> Tuple[list, int]:
+    """(rows, columns): the forms' multiplication map into degree sum(d_i) - n + 1.
+
+    A row holds x^e * f_i for a form f_i and a monomial x^e of the
+    complementary degree, in the critical degree's grlex-descending monomials.
+    """
+    vs = tuple(variables)
+    crit = sum(degrees) - len(vs) + 1
+    index = {m: i for i, m in enumerate(_monomials_of_degree(vs, crit))}
+    rows = [_shifted_row(f, expt, vs, index)
+            for f, d in zip(forms, degrees) for expt in _monomials_of_degree(vs, crit - d)]
+    return rows, len(index)
+
+
 def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
                                 degrees: Sequence[int]) -> bool:
     """Exact decision: do the forms have NO common projective zero?
@@ -683,16 +693,12 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     By the Macaulay bound, n homogeneous forms in n variables without a
     common zero generate everything in the critical degree
     sum(d_i) - n + 1, while a common zero forces the multiplication map
-    into a proper subspace.  The rank test is field-stable, so rational
-    linear algebra decides the question over the complex numbers.
+    (``critical_degree_rows``) into a proper subspace.  The rank test is
+    field-stable, so rational linear algebra decides the question over
+    the complex numbers.
     """
-    vs = tuple(variables)
-    crit = sum(degrees) - len(vs) + 1
-    target = _monomials_of_degree(vs, crit)
-    index = {m: i for i, m in enumerate(target)}
-    rows = [_shifted_row(f, expt, vs, index)
-            for f, d in zip(forms, degrees) for expt in _monomials_of_degree(vs, crit - d)]
-    return matrix_rank(rows) == len(target)
+    rows, columns = critical_degree_rows(forms, variables, degrees)
+    return matrix_rank(rows) == columns
 
 
 # The variables of macaulay_resultant_ternary's forms, and how many random

@@ -23,7 +23,6 @@ from quartic_cones.octad import (
     bitangent_line,
     configs_projectively_equivalent,
     cremona_octad,
-    det_nonzero_mod_p,
     dual_point_of_line,
     eighth_point,
     gale_transform,
@@ -31,9 +30,10 @@ from quartic_cones.octad import (
     net_from_heptad,
     pencil_fiber,
     quadric_eval,
+    rank_mod_p,
     steinerian_point,
 )
-from quartic_cones.polycore import Poly, PolyMatrix, det_fraction, matrix_rank, univariate_gcd
+from quartic_cones.polycore import Poly, PolyMatrix, matrix_rank, univariate_gcd
 from quartic_cones.polyio import parse_poly
 
 from conftest import COPLANAR, SEED1_HEPTADS, STANDARD_HEPTAD, TWISTED_CUBIC
@@ -169,13 +169,13 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def scaled_integer_det(rows):
-    """det_fraction(rows) times the row scales that det_nonzero_mod_p applies."""
-    value = det_fraction(rows)
-    for row in rows:
-        value *= math.lcm(*(F(v).denominator for v in row))
-    assert value.denominator == 1
-    return value.numerator
+def scaled_rows(rows):
+    """The integer rows that rank_mod_p reduces: each row times the lcm of its denominators."""
+    return [[v * math.lcm(*(F(c).denominator for c in row)) for v in row] for row in rows]
+
+
+def oracle_heptads():
+    return [STANDARD_HEPTAD, *seeded_heptads(), *SEED1_HEPTADS.values()]
 
 
 class TestModularCertificate:
@@ -183,22 +183,22 @@ class TestModularCertificate:
         for rows in ([[CERTIFICATE_PRIME]],
                      [[F(CERTIFICATE_PRIME, 3), 1], [0, 3]],
                      [[2, 1], [1, F(CERTIFICATE_PRIME + 1, 2)]]):
-            assert det_nonzero_mod_p(rows) is False
-            assert det_fraction(rows) != 0
+            assert rank_mod_p(rows) == matrix_rank(rows) - 1
 
     def test_singular_and_regular(self):
-        assert det_nonzero_mod_p([[1, 2], [2, 4]]) is False
-        assert det_nonzero_mod_p([[0, F(1, 2)], [F(2, 3), 0]]) is True
-        assert det_nonzero_mod_p([]) is True
+        assert rank_mod_p([[1, 2], [2, 4]]) == 1
+        assert rank_mod_p([[0, F(1, 2)], [F(2, 3), 0]]) == 2
+        assert rank_mod_p([[0, 0, 0], [0, 0, 0]]) == 0
+        assert rank_mod_p([]) == 0
 
     @pytest.mark.parametrize("index", range(6))
     def test_forced_no_proof_keeps_pinned_points(self, monkeypatch, index):
-        monkeypatch.setattr(octad_mod, "det_nonzero_mod_p", lambda rows: False)
-        exact = count_calls(monkeypatch, octad_mod, "hessian_quartic")
+        monkeypatch.setattr(octad_mod, "rank_mod_p", lambda rows: 0)
+        exact = count_calls(monkeypatch, octad_mod, "ideal_spans_critical_degree")
         net = net_from_heptad(seeded_heptads()[index])
         p8 = eighth_point(net, rng=random.Random(0)).point(8)
         assert p8 == tuple(F(c) for c in PINNED_EIGHTH_POINTS[index])
-        assert exact == ["hessian_quartic"]
+        assert exact == ["ideal_spans_critical_degree"]
 
     def test_coplanar_seed_heptad_rejected(self):
         net = net_from_heptad(SEED1_HEPTADS[4])
@@ -211,28 +211,51 @@ class TestModularCertificate:
         assert quotients == []
         assert len(octad.points) == 8
 
-    def test_degenerate_identity_minor_falls_back(self, monkeypatch):
+    def test_simplex_heptad_certified_without_exact_resultant(self, monkeypatch):
         quotients = count_calls(monkeypatch, polycore, "macaulay_quotient")
         octad = eighth_point(net_from_heptad(STANDARD_HEPTAD))
         assert octad.point(8) == (F(121), F(-22), F(-15), F(-11))
-        # the identity frame's minor vanishes, a random frame's does not
-        assert len(quotients) == 2
+        # the rank needs no frame, so a simplex heptad's vanishing
+        # identity-frame Macaulay minor costs nothing
+        assert quotients == []
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_verdict_matches_exact_resultant(self, index):
+        heptad = oracle_heptads()[index]
+        assert octad_mod._hessian_smooth(net_from_heptad(heptad)) == \
+            hessian_quartic(net_from_heptad(heptad)).smooth
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_aronhold_verdict_enters_no_frame(self, monkeypatch, index):
+        heptad = oracle_heptads()[index]
+        if not aronhold_check(heptad).verdict:
+            with pytest.raises(OctadError, match="not Aronhold"):
+                eighth_point(net_from_heptad(heptad))
+            return
+        calls = [count_calls(monkeypatch, module, name)
+                 for module, name in ((polycore, "macaulay_quotient"),
+                                      (octad_mod, "hessian_quartic"),
+                                      (polycore, "random_invertible"))]
+        assert len(eighth_point(net_from_heptad(heptad)).points) == 8
+        assert calls == [[], [], []]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_agrees_with_exact_determinant(self, data):
-        n = data.draw(st.integers(1, 4))
+    def test_agrees_with_exact_rank(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
         entry = st.fractions(min_value=-40, max_value=40, max_denominator=6)
-        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-        if n > 1 and data.draw(st.booleans()):  # a rank-deficient matrix
+        rows = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 1 and data.draw(st.booleans()):  # a rank-deficient matrix
             a, b = data.draw(entry), data.draw(entry)
-            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
-        exact = det_fraction(rows)
-        modular = det_nonzero_mod_p(rows)
-        if modular:
-            assert exact != 0
-        if abs(scaled_integer_det(rows)) < CERTIFICATE_PRIME:
-            assert modular == (exact != 0)
+            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n_rows - 1)])]
+        exact = matrix_rank(rows)
+        modular = rank_mod_p(rows)
+        assert modular <= exact
+        # Hadamard: every minor of the scaled rows is below the product of
+        # their norms, so when that product is below p no minor vanishes mod p
+        if math.prod(max(1, sum(v * v for v in row))
+                     for row in scaled_rows(rows)) < CERTIFICATE_PRIME ** 2:
+            assert modular == exact
 
 
 class TestBitangents:
@@ -373,7 +396,7 @@ class TestPencilFiberOracles:
         alpha, beta = Poly.var("alpha"), Poly.var("beta")
         m1, m2 = net.matrix_at(p1), net.matrix_at(p2)
         d = PolyMatrix([[alpha * m1[i][j] + beta * m2[i][j] for j in range(4)]
-                        for i in range(4)], symmetric=True).det()
+                        for i in range(4)]).det()
         by_exponents = {(dict(m).get("alpha", 0), dict(m).get("beta", 0)): c
                         for m, c in d.terms.items()}
         expected = tuple(F(by_exponents.get((4 - k, k), 0)) for k in range(5))

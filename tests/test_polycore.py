@@ -17,6 +17,7 @@ from quartic_cones.polycore import (
     ScopeError,
     clear_denominators,
     congruence,
+    critical_degree_rows,
     det_fraction,
     exact_divide,
     format_poly,
@@ -190,10 +191,6 @@ class TestDeterminants:
             m = PolyMatrix(entries)
             assert m.det_cofactor() == m.det_bareiss()
 
-    def test_symmetric_flag_enforced(self):
-        with pytest.raises(Exception):
-            PolyMatrix([[x, y], [z, x]], symmetric=True)
-
 
 class TestResultant:
     def test_linear_pair(self):
@@ -254,6 +251,13 @@ class TestMacaulay:
         assert ideal_spans_critical_degree(smooth, "xyz", (3, 3, 3))
         sing = ((x * y) ** 1 * x, x ** 2 * y, x * y * z)
         assert not ideal_spans_critical_degree(sing, "xyz", (3, 3, 3))
+
+    def test_critical_degree_rows_are_shifted_forms(self):
+        rows, columns = critical_degree_rows((x ** 3, y ** 3, z ** 3), "xyz", (3, 3, 3))
+        # 15 degree-4 shifts of each form into the 36 monomials of degree 7
+        assert (len(rows), columns) == (45, 36)
+        assert all(len(row) == 36 and sorted(row) == [0] * 35 + [1] for row in rows)
+        assert matrix_rank(rows) == 36
 
     def test_quotient_rejects_polynomial_coefficients(self):
         # a hidden variable a makes the Macaulay matrix non-constant
