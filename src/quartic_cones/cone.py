@@ -17,7 +17,6 @@ from .covariants import CovariantPair, QuarticCurve, covariants
 from .polycore import (
     Poly,
     PolyError,
-    rational_cbrt,
     rational_sqrt,
     det_fraction,
 )
@@ -72,6 +71,27 @@ class ConeEquation:
             raise ConeError("weighted Euler identity failed")  # pragma: no cover
         self.pair = pair
         self.F = F
+
+
+def rational_cbrt(c: Fraction) -> Optional[Fraction]:
+    """Exact rational cube root of c, or None when c is not a cube."""
+    c = Fraction(c)
+    n, d = abs(c.numerator), c.denominator
+    rn, rd = _icbrt(n), _icbrt(d)
+    if rn ** 3 == n and rd ** 3 == d:
+        return Fraction(rn if c >= 0 else -rn, rd)
+    return None
+
+
+def _icbrt(n: int) -> int:
+    lo, hi = 0, 1 << ((n.bit_length() + 2) // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** 3 <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class WeightedPoint:

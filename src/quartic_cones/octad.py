@@ -9,8 +9,8 @@ and the pairs of octad points mark the 28 bitangents of the Hessian
 quartic.  Everything here is exact rational linear algebra over
 polycore, including a closed form for the eighth base point.  The
 Aronhold verdict that ``eighth_point`` needs is frame-free: the Hessian
-quartic is smooth exactly when its partials span the critical degree,
-which one rank modulo a prime proves whenever that rank is full.
+quartic is smooth exactly when its partials have no common zero, which
+polycore's ``ideal_spans_critical_degree`` decides.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .polycore import (
     Poly,
     PolyError,
     PolyMatrix,
-    _integer_rows,
     clear_denominators,
     coefficients_multi,
     congruence,
-    critical_degree_rows,
     det_fraction,
     ideal_spans_critical_degree,
     inverse,
@@ -41,9 +39,6 @@ from .polycore import (
 )
 from .polyio import point_coordinates
 from .record import record
-
-# Mersenne prime for the modular smoothness certificate in ``eighth_point``.
-CERTIFICATE_PRIME = 2 ** 61 - 1
 
 # Monomial order for quadric coefficient vectors on P3.
 QUADRIC_MONOMIALS = ((0, 0), (1, 1), (2, 2), (3, 3),
@@ -302,47 +297,6 @@ def aronhold_check(points: Sequence) -> AronholdReport:
                           hess.smooth, hess.resultant, verdict)
 
 
-def rank_mod_p(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """The rank modulo ``CERTIFICATE_PRIME`` of a rational matrix.
-
-    The rows are scaled to integers as in ``matrix_rank``
-    (``_integer_rows``), and the integer matrix is reduced by Gaussian
-    elimination mod p.  A minor that is nonzero mod p is nonzero, so the
-    result never exceeds the rank over Q; it falls short only when p
-    divides every nonzero maximal minor.
-    """
-    p = CERTIFICATE_PRIME
-    m = [[v % p for v in row] for row in _integer_rows(rows)[0]]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        top = m[rank][c + 1:]
-        inverse_pivot = pow(m[rank][c], -1, p)
-        for row in m[rank + 1:]:
-            factor = row[c] * inverse_pivot % p
-            if factor:
-                row[c + 1:] = [(b - factor * t) % p for b, t in zip(row[c + 1:], top)]
-        rank += 1
-    return rank
-
-
-def _hessian_smooth(net: QuadricNet) -> bool:
-    """Whether the Hessian quartic is smooth, decided in no coordinate frame.
-
-    A plane quartic is smooth exactly when its partials have no common
-    zero, that is when their map into degree 7 (``critical_degree_rows``,
-    45 x 36) has full rank (Macaulay 1903).  A full rank mod p proves it;
-    a shortfall goes to the exact ``ideal_spans_critical_degree``.
-    """
-    partials = [net.determinant.partial(v) for v in "xyz"]
-    rows, columns = critical_degree_rows(partials, "xyz", (3, 3, 3))
-    return (rank_mod_p(rows) == columns
-            or ideal_spans_critical_degree(partials, "xyz", (3, 3, 3)))
-
-
 # ---------------------------------------------------------------------------
 # Eighth base point
 
@@ -365,17 +319,18 @@ def eighth_point(net: QuadricNet, rng=None,
     Without ``check`` the Aronhold verdict is computed on ``net`` itself
     (its Hessian determinant is then cached for later consumers).  The
     verdict needs only that the quartic is smooth, never its resultant:
-    ``_hessian_smooth`` proves it by a full rank of the partials'
-    critical-degree map modulo ``CERTIFICATE_PRIME``, in no coordinate
-    frame, and decides a shortfall by the exact rank.  ``rng`` is unused
-    and kept for callers that pass one.
+    ``ideal_spans_critical_degree`` decides that its partials have no
+    common zero, in no coordinate frame.  ``rng`` is unused and kept for
+    callers that pass one.
     """
     if len(net.basepoints) < 7:
         raise OctadError("eighth_point needs the net's seven defining points")
     known = net.basepoints[:7]
     if check is None:
         dimension = 10 - matrix_rank([_quadric_row(p) for p in known])
-        smooth = _hessian_smooth(net) if dimension == 3 else None
+        smooth = (ideal_spans_critical_degree(
+            [net.determinant.partial(v) for v in "xyz"], "xyz", (3, 3, 3))
+                  if dimension == 3 else None)
     else:
         dimension, smooth = check.net_dimension, check.hessian_smooth
     if not (dimension == 3 and smooth):

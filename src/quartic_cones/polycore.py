@@ -619,38 +619,6 @@ def _shifted_row(form: Poly, shift: Sequence[int], vs: Sequence[str],
     return row
 
 
-def macaulay_matrix(forms: Sequence[Poly], variables: Sequence[str],
-                    degrees: Sequence[int]):
-    """Macaulay's matrix for n forms in n variables, and its extraneous minor.
-
-    Returns (rows, minor): row r holds the coefficients of x^shift * f_i
-    for the r-th monomial of the critical degree sum(d_i) - n + 1
-    (grlex-descending), where f_i is the first form whose degree the
-    monomial's exponent reaches.  ``minor`` lists the monomials that reach
-    two or more degrees; their rows and columns make the minor M', and
-    det M = Res * det M' (Macaulay 1903).
-
-    The forms must have rational coefficients; a coefficient involving
-    another variable raises PolyError.
-    """
-    vs = tuple(variables)
-    n = len(vs)
-    if len(forms) != n or len(degrees) != n:
-        raise PolyError("need as many forms and degrees as variables")
-    monos = _monomials_of_degree(vs, sum(degrees) - n + 1)
-    index = {m: i for i, m in enumerate(monos)}
-    rows, minor = [], []
-    for r, expt in enumerate(monos):
-        reached = [i for i in range(n) if expt[i] >= degrees[i]]
-        i = reached[0]
-        shift = list(expt)
-        shift[i] -= degrees[i]
-        rows.append(_shifted_row(forms[i], shift, vs, index))
-        if len(reached) > 1:
-            minor.append(r)
-    return rows, minor
-
-
 def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
                       degrees: Sequence[int]):
     """Classical Macaulay construction for n forms in n variables.
@@ -660,11 +628,32 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
     zero the pair (None, Fraction(0)) is returned and the caller decides
     how to recover (typically by a random linear change of coordinates).
 
-    M and M' come from ``macaulay_matrix``.  Both determinants come from
+    Row r of Macaulay's matrix M holds the coefficients of x^shift * f_i
+    for the r-th monomial of the critical degree sum(d_i) - n + 1
+    (grlex-descending), where f_i is the first form whose degree the
+    monomial's exponent reaches.  The monomials that reach two or more
+    degrees index the rows and columns of the minor M', and
+    det M = Res * det M' (Macaulay 1903).  Both determinants come from
     the integer kernel of ``det_fraction`` (the minor first, so a
-    degenerate minor costs one elimination).
+    degenerate minor costs one elimination).  The forms must have
+    rational coefficients; a coefficient involving another variable
+    raises PolyError.
     """
-    rows, keep = macaulay_matrix(forms, variables, degrees)
+    vs = tuple(variables)
+    n = len(vs)
+    if len(forms) != n or len(degrees) != n:
+        raise PolyError("need as many forms and degrees as variables")
+    monos = _monomials_of_degree(vs, sum(degrees) - n + 1)
+    index = {m: i for i, m in enumerate(monos)}
+    rows, keep = [], []
+    for r, expt in enumerate(monos):
+        reached = [i for i in range(n) if expt[i] >= degrees[i]]
+        i = reached[0]
+        shift = list(expt)
+        shift[i] -= degrees[i]
+        rows.append(_shifted_row(forms[i], shift, vs, index))
+        if len(reached) > 1:
+            keep.append(r)
     minor_value = det_fraction([[rows[r][c] for c in keep] for r in keep])
     if minor_value == 0:
         return None, minor_value
@@ -695,10 +684,12 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     sum(d_i) - n + 1, while a common zero forces the multiplication map
     (``critical_degree_rows``) into a proper subspace.  The rank test is
     field-stable, so rational linear algebra decides the question over
-    the complex numbers.
+    the complex numbers.  A full rank mod ``CERTIFICATE_PRIME``
+    (``rank_mod_p``) proves the full rank over Q; only a shortfall runs
+    the exact ``matrix_rank`` on the same rows.
     """
     rows, columns = critical_degree_rows(forms, variables, degrees)
-    return matrix_rank(rows) == columns
+    return rank_mod_p(rows) == columns or matrix_rank(rows) == columns
 
 
 # The variables of macaulay_resultant_ternary's forms, and how many random
@@ -770,27 +761,6 @@ def rational_sqrt(c: Fraction) -> Optional[Fraction]:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def rational_cbrt(c: Fraction) -> Optional[Fraction]:
-    """Exact rational cube root of c, or None when c is not a cube."""
-    c = Fraction(c)
-    n, d = abs(c.numerator), c.denominator
-    rn, rd = _icbrt(n), _icbrt(d)
-    if rn ** 3 == n and rd ** 3 == d:
-        return Fraction(rn if c >= 0 else -rn, rd)
-    return None
-
-
-def _icbrt(n: int) -> int:
-    lo, hi = 0, 1 << ((n.bit_length() + 2) // 3 + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** 3 <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def is_perfect_square(p: Poly) -> Optional[Poly]:
@@ -882,8 +852,12 @@ def univariate_gcd(p: Poly, q: Poly, var: str) -> Poly:
     return from_dense([c / lead for c in a], var)
 
 
-def _int_divisors(n: int, trial_bound: int = 1_000_000) -> Optional[list]:
-    """All positive divisors of |n|, or None when factoring exceeds the bound."""
+# Largest trial divisor ``_int_divisors`` tries before it gives up.
+TRIAL_DIVISION_BOUND = 1_000_000
+
+
+def _int_divisors(n: int) -> Optional[list]:
+    """All positive divisors of |n|, or None when factoring passes ``TRIAL_DIVISION_BOUND``."""
     n = abs(n)
     if n == 0:
         return None
@@ -891,7 +865,7 @@ def _int_divisors(n: int, trial_bound: int = 1_000_000) -> Optional[list]:
     m = n
     f = 2
     while f * f <= m:
-        if f > trial_bound:
+        if f > TRIAL_DIVISION_BOUND:
             return None
         while m % f == 0:
             factors[f] = factors.get(f, 0) + 1
@@ -908,15 +882,18 @@ def _int_divisors(n: int, trial_bound: int = 1_000_000) -> Optional[list]:
 def rational_roots(p: Poly, var: str) -> Optional[list]:
     """All rational roots (with multiplicity) of a univariate polynomial.
 
-    Uses the rational-root theorem after clearing denominators.  Returns
-    None when the integer factorizations needed exceed the trial-division
-    bound; callers treat that as "roots not determined".
+    Uses the rational-root theorem after clearing denominators and
+    dividing out the content.  Returns None when the integer
+    factorizations needed exceed the trial-division bound; callers treat
+    that as "roots not determined".
     """
     coeffs = _dense_trim(to_dense(p, var))
     if not coeffs:
         raise PolyError("zero polynomial has every root")
-    denlcm = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else coeffs[0].denominator
-    ints = [int(c * denlcm) for c in coeffs]
+    denlcm = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denlcm // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
     roots = []
     while ints and ints[0] == 0:
         roots.append(Fraction(0))
@@ -961,13 +938,16 @@ def _dense_deflate(coeffs: Sequence, root: Fraction) -> list:
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]):
-    """(m, scale): each row times the lcm of its denominators, and the product of those lcms."""
+    """(m, scale): each row times the lcm of its denominators, and the product of those lcms.
+
+    The entries are ints or Fractions, whose numerators and denominators
+    are read as they are.
+    """
     m = []
     scale = 1
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        row_scale = lcm(*(f.denominator for f in fracs))
-        m.append([f.numerator * (row_scale // f.denominator) for f in fracs])
+        row_scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (row_scale // v.denominator) for v in row])
         scale *= row_scale
     return m, scale
 
@@ -1014,6 +994,36 @@ def rref(rows: Sequence[Sequence[Fraction]]):
 def matrix_rank(rows) -> int:
     """Rank of a rational matrix: ``_bareiss`` on its rows scaled to integers."""
     return _bareiss(_integer_rows(rows)[0])[0]
+
+
+# Mersenne prime for ``rank_mod_p``.
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+
+def rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> int:
+    """The rank modulo ``CERTIFICATE_PRIME`` of a rational matrix.
+
+    The rows are scaled to integers as in ``matrix_rank`` and reduced by
+    Gaussian elimination mod p.  A minor that is nonzero mod p is
+    nonzero, so the result never exceeds the rank over Q; it falls short
+    only when p divides every nonzero maximal minor.
+    """
+    p = CERTIFICATE_PRIME
+    m = [[v % p for v in row] for row in _integer_rows(rows)[0]]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank][c + 1:]
+        inverse_pivot = pow(m[rank][c], -1, p)
+        for row in m[rank + 1:]:
+            factor = row[c] * inverse_pivot % p
+            if factor:
+                row[c + 1:] = [(b - factor * t) % p for b, t in zip(row[c + 1:], top)]
+        rank += 1
+    return rank
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list:

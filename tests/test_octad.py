@@ -11,7 +11,6 @@ from quartic_cones import octad as octad_mod
 from quartic_cones import polycore
 from quartic_cones.covariants import QuarticCurve, covariants, j_eval, j_from_roots
 from quartic_cones.octad import (
-    CERTIFICATE_PRIME,
     CorankTooHigh,
     DimensionError,
     NonSquarefree,
@@ -30,10 +29,17 @@ from quartic_cones.octad import (
     net_from_heptad,
     pencil_fiber,
     quadric_eval,
-    rank_mod_p,
     steinerian_point,
 )
-from quartic_cones.polycore import Poly, PolyMatrix, matrix_rank, univariate_gcd
+from quartic_cones.polycore import (
+    CERTIFICATE_PRIME,
+    Poly,
+    PolyMatrix,
+    ideal_spans_critical_degree,
+    matrix_rank,
+    rank_mod_p,
+    univariate_gcd,
+)
 from quartic_cones.polyio import parse_poly
 
 from conftest import COPLANAR, SEED1_HEPTADS, STANDARD_HEPTAD, TWISTED_CUBIC
@@ -193,12 +199,12 @@ class TestModularCertificate:
 
     @pytest.mark.parametrize("index", range(6))
     def test_forced_no_proof_keeps_pinned_points(self, monkeypatch, index):
-        monkeypatch.setattr(octad_mod, "rank_mod_p", lambda rows: 0)
-        exact = count_calls(monkeypatch, octad_mod, "ideal_spans_critical_degree")
+        monkeypatch.setattr(polycore, "rank_mod_p", lambda rows: 0)
+        exact = count_calls(monkeypatch, polycore, "matrix_rank")
         net = net_from_heptad(seeded_heptads()[index])
         p8 = eighth_point(net, rng=random.Random(0)).point(8)
         assert p8 == tuple(F(c) for c in PINNED_EIGHTH_POINTS[index])
-        assert exact == ["ideal_spans_critical_degree"]
+        assert exact == ["matrix_rank"]
 
     def test_coplanar_seed_heptad_rejected(self):
         net = net_from_heptad(SEED1_HEPTADS[4])
@@ -222,7 +228,9 @@ class TestModularCertificate:
     @pytest.mark.parametrize("index", range(10))
     def test_verdict_matches_exact_resultant(self, index):
         heptad = oracle_heptads()[index]
-        assert octad_mod._hessian_smooth(net_from_heptad(heptad)) == \
+        hessian = net_from_heptad(heptad).determinant
+        partials = [hessian.partial(v) for v in "xyz"]
+        assert ideal_spans_critical_degree(partials, "xyz", (3, 3, 3)) == \
             hessian_quartic(net_from_heptad(heptad)).smooth
 
     @pytest.mark.parametrize("index", range(10))

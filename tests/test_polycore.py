@@ -1,12 +1,16 @@
+import ast
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quartic_cones import polycore
+from quartic_cones.cone import rational_cbrt
 from quartic_cones.octad import hessian_quartic, net_from_heptad
 from quartic_cones.polycore import (
     DegreeError,
@@ -30,7 +34,6 @@ from quartic_cones.polycore import (
     matrix_rank,
     nullspace,
     random_invertible,
-    rational_cbrt,
     rational_roots,
     rational_sqrt,
     resultant_bivariate,
@@ -252,6 +255,14 @@ class TestMacaulay:
         sing = ((x * y) ** 1 * x, x ** 2 * y, x * y * z)
         assert not ideal_spans_critical_degree(sing, "xyz", (3, 3, 3))
 
+    def test_exact_rank_decides_without_the_modular_proof(self, monkeypatch):
+        monkeypatch.setattr(polycore, "rank_mod_p", lambda rows: 0)
+        klein = x ** 3 * y + y ** 3 * z + z ** 3 * x
+        singular = (x ** 2 - y ** 2) ** 2 + z * (x ** 3 + y ** 3 + z ** 3)
+        for quartic, smooth in ((klein, True), (singular, False)):
+            partials = [quartic.partial(n) for n in "xyz"]
+            assert ideal_spans_critical_degree(partials, "xyz", (3, 3, 3)) is smooth
+
     def test_critical_degree_rows_are_shifted_forms(self):
         rows, columns = critical_degree_rows((x ** 3, y ** 3, z ** 3), "xyz", (3, 3, 3))
         # 15 degree-4 shifts of each form into the 36 monomials of degree 7
@@ -372,6 +383,11 @@ class TestRationalHelpers:
         p = (x - 1) * (x - 2) * (3 * x + 1)
         assert sorted(rational_roots(p, "x")) == [F(-1, 3), F(1), F(2)]
 
+    def test_rational_roots_divide_out_the_content(self):
+        lam = Poly.var("lam")
+        p = (2 ** 61 - 1) * (lam - 1) * (lam - 2) * (lam - 3) * (lam - 5)
+        assert rational_roots(p, "lam") == [1, 2, 3, 5]
+
     def test_gcd(self):
         g = univariate_gcd((x - 1) ** 2 * (x + 2), (x - 1) * (x - 5), "x")
         assert g == x - 1
@@ -396,8 +412,6 @@ class TestLinearAlgebra:
         assert det_fraction(rows) == 0
 
     def test_rank_and_determinants_leave_rref(self, monkeypatch):
-        import quartic_cones.polycore as polycore
-
         def no_rref(rows):
             raise AssertionError("rref called")
 
@@ -713,3 +727,11 @@ class TestPickle:
                 assert back.terms == value.terms and back.variables == value.variables
                 assert all(type(c) is F for c in back.terms.values())
                 assert back == value and hash(back) == hash(value)
+
+
+def test_no_module_imports_a_private_polycore_name():
+    for path in sorted(Path(polycore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "polycore":
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert private == [], f"{path.name} imports {private} from polycore"
