@@ -7,9 +7,12 @@ transformation rule under a linear change of coordinates, and the action
 of GL3 on a quartic's partials and on its covariants g4 and g6.  The
 resultant is checked both as the identity-frame Macaulay quotient and as
 ``macaulay_resultant_ternary``, whose retry frames must not change it.
+The univariate layer and exact division are compared with SymPy's gcd,
+ground roots, remainder, division and Sylvester resultant.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,11 +21,16 @@ from hypothesis import strategies as st
 
 from quartic_cones.covariants import QuarticCurve, covariants
 from quartic_cones.polycore import (
+    NotDivisibleError,
     Poly,
     PolyMatrix,
     det_fraction,
+    exact_divide,
     macaulay_quotient,
     macaulay_resultant_ternary,
+    rational_roots,
+    resultant_bivariate,
+    univariate_gcd,
 )
 
 
@@ -231,3 +239,114 @@ def test_group_action_on_resultant_and_covariants(f, a):
     pair, moved = covariants(QuarticCurve(f)), covariants(QuarticCurve(fa))
     assert moved.g4 == compose(pair.g4, cofactors, "stu")
     assert moved.g6 == compose(pair.g6, cofactors, "stu")
+
+
+# ---------------------------------------------------------------------------
+# The univariate layer and exact division against SymPy
+
+
+def from_sympy(value):
+    return F(int(value.p), int(value.q))
+
+
+def poly_from(coeffs, names):
+    """Sum of c * prod(v^e) over ``coeffs``, a dict from exponent tuples to c."""
+    terms = {tuple((v, e) for v, e in zip(names, expts) if e): F(c)
+             for expts, c in coeffs.items()}
+    return Poly(terms, names)
+
+
+def univariate(max_degree, coeff=st.integers(-6, 6)):
+    """Polynomials in x of degree at most ``max_degree``, with rational coefficients."""
+    scalar = st.one_of(coeff, st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    return st.lists(scalar, min_size=1, max_size=max_degree + 1).map(
+        lambda cs: poly_from({(e,): c for e, c in enumerate(cs)}, "x"))
+
+
+def bivariate(max_x, max_y):
+    """Polynomials in x and y with small integer coefficients."""
+    keys = st.tuples(st.integers(0, max_x), st.integers(0, max_y))
+    return st.dictionaries(keys, st.integers(-4, 4), max_size=6).map(
+        lambda cs: poly_from(cs, "xy"))
+
+
+def assert_same_poly(ours, expected):
+    sympy = pytest.importorskip("sympy")
+    assert sympy.expand(to_sympy(ours) - expected) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=univariate(2), a=univariate(3), b=univariate(3))
+@example(common=x - 1, a=x - 1, b=x + 2)  # a repeated shared root
+@example(common=Poly.const(3), a=Poly.zero(), b=x ** 2 + 1)  # one side zero
+def test_univariate_gcd_matches_sympy(common, a, b):
+    sympy = pytest.importorskip("sympy")
+    p, q = common * a, common * b
+    assume(not (p.is_zero() and q.is_zero()))
+    X = sympy.Symbol("x")
+    expected = sympy.Poly(sympy.gcd(to_sympy(p), to_sympy(q)), X).monic().as_expr()
+    assert_same_poly(univariate_gcd(p, q, "x"), expected)
+
+
+@st.composite
+def products_of_linear_factors(draw):
+    """content * prod (a_i x + b_i), sometimes times an irreducible quadratic."""
+    content = draw(st.integers(-12, 12).filter(bool))
+    factors = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), max_size=5))
+    p = Poly.const(content)
+    for a, b in factors:
+        p = p * (a * x + b)
+    quadratic = draw(st.sampled_from([None, x ** 2 + 1, x ** 2 - 2, 2 * x ** 2 + x + 3]))
+    return p if quadratic is None else p * quadratic
+
+
+@settings(max_examples=60, deadline=None)
+@given(products_of_linear_factors())
+@example(6 * (x - 1) ** 2 * (2 * x + 3) * (x ** 2 + 1))  # a double root, content 6
+@example(-4 * x ** 3 * (x ** 2 - 2))  # roots at 0 only
+def test_rational_roots_match_sympy_ground_roots(p):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Poly(to_sympy(p), sympy.Symbol("x")).ground_roots()
+    roots = rational_roots(p, "x")
+    assert roots is not None
+    assert Counter(roots) == Counter({from_sympy(r): m for r, m in expected.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=univariate(5), d=univariate(3).filter(bool))
+@example(p=x ** 4 + 3 * x + 1, d=2 * x ** 2)  # monomial divisor, long-division witness
+@example(p=x ** 3 - 1, d=x - 1)  # divisible
+def test_not_divisible_remainder_matches_sympy_rem(p, d):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    quo, rem = sympy.div(to_sympy(p), to_sympy(d), X)
+    if rem == 0:
+        assert_same_poly(exact_divide(p, d), quo)
+    else:
+        with pytest.raises(NotDivisibleError) as err:
+            exact_divide(p, d)
+        assert_same_poly(err.value.remainder, rem)
+
+
+MONOMIALS = st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 3),
+                      st.integers(0, 3)).map(lambda t: t[0] * x ** t[1] * y ** t[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=bivariate(3, 3), g=st.one_of(MONOMIALS, bivariate(2, 2).filter(lambda g: len(g.terms) > 1)))
+def test_exact_divide_of_a_product_matches_sympy_div(f, g):
+    sympy = pytest.importorskip("sympy")
+    quo, rem = sympy.div(to_sympy(f * g), to_sympy(g), sympy.Symbol("x"), sympy.Symbol("y"))
+    assert rem == 0
+    assert_same_poly(exact_divide(f * g, g), quo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=bivariate(3, 2), q=bivariate(2, 2))
+@example(p=x ** 2 - 1, q=x - 1)  # a shared root: the resultant vanishes
+@example(p=x * y + 1, q=x ** 2 - y)
+def test_resultant_bivariate_matches_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    assume(p.degree_in("x") > 0 and q.degree_in("x") > 0)
+    expected = sympy.resultant(to_sympy(p), to_sympy(q), sympy.Symbol("x"))
+    assert_same_poly(resultant_bivariate(p, q, "x"), expected)
