@@ -192,11 +192,10 @@ def binary_invariants(b: Sequence) -> Tuple:
 def covariants(curve: QuarticCurve) -> CovariantPair:
     """The degree-4 and degree-6 covariants: h2 = u^4 g4, h3 = u^6 g6."""
     h2, h3 = binary_invariants(tuple(curve.restriction))
-    u4 = Poly.var("u") ** 4
-    u6 = Poly.var("u") ** 6
-    g4 = exact_divide(h2, u4)
-    g6 = exact_divide(h3, u6)
-    return CovariantPair(g4, g6)
+    # u declares s and t too, so g4 and g6 keep the scope of forms in s, t, u
+    # even when they vanish or miss a variable
+    u = Poly(Poly.var("u").terms, STU)
+    return CovariantPair(exact_divide(h2, u ** 4), exact_divide(h3, u ** 6))
 
 
 def dual_curve(pair: CovariantPair) -> DualCurve:

@@ -36,6 +36,7 @@ from .polycore import (
     matrix_rank,
     nullspace,
     rational_roots,
+    rational_sqrt,
 )
 from .polyio import point_coordinates
 from .record import record
@@ -428,7 +429,9 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     denominator of j, is nonzero; otherwise NonSquarefree is raised.  j
     comes from the binary-quartic invariants, and additionally from the
     cross-ratio of the four singular parameters whenever those are found
-    rational.  The two routes must agree.
+    rational.  The two routes must agree.  Four rational parameters
+    lam_i make the discriminant the square of c4^3 prod_{i<j} (lam_i - lam_j),
+    so they are searched for only when it is a rational square.
     """
     from . import covariants as cov  # imported here: no CLI job runs pencil_fiber
 
@@ -440,16 +443,19 @@ def pencil_fiber(net: QuadricNet, netpoint1, netpoint2) -> PencilFiber:
     coeffs = tuple(by.get((4 - k, k), Poly.zero()).constant_value() for k in range(5))
     if all(c == 0 for c in coeffs):
         raise NonSquarefree("determinant vanishes identically on the pencil")
+    h2, h3 = cov.binary_invariants(coeffs)
+    disc = 4 * h2 ** 3 - 27 * h3 ** 2
     try:
-        j_invariant = cov.j_of_binary_quartic(coeffs)
-    except (cov.DegenerateQuadruple, cov.IndeterminateJ):
+        j_invariant = cov.j_of_values(coeffs, h2, h3, disc)
+    except (cov.OnDualCurve, cov.IndeterminateJ):
         raise NonSquarefree(f"restricted determinant {coeffs} has a repeated root") from None
 
-    lam = Poly.var("lam")
-    affine = sum((Poly.const(coeffs[k]) * lam ** k for k in range(5)), Poly.zero())
     params = None
     ratio = None
-    if coeffs[4] != 0:  # no root at infinity for det(M1 + lam M2)
+    # coeffs[4] != 0: no root at infinity for det(M1 + lam M2)
+    if coeffs[4] != 0 and rational_sqrt(disc) is not None:
+        lam = Poly.var("lam")
+        affine = sum((Poly.const(coeffs[k]) * lam ** k for k in range(5)), Poly.zero())
         roots = rational_roots(affine, "lam")
         if roots is not None and len(roots) == 4:
             params = tuple(sorted(roots))

@@ -25,6 +25,12 @@ is one normalised Fraction.  When an operand has at most one term, the
 products of distinct monomials are distinct and nothing is collected, so
 the terms are multiplied directly without packing.
 
+Long division has one loop, ``_divide``, which ``exact_divide`` and the
+Euclidean ``univariate_gcd`` share.  A univariate polynomial is a Poly
+whose terms involve one variable; there is no dense coefficient-list
+form, and ``rational_roots`` reads its integer coefficients straight
+from the terms.
+
 All values are immutable after construction and safe to share between
 threads.  There is no floating point anywhere in this module.
 
@@ -123,7 +129,7 @@ def _mono_div(a: Mono, b: Mono) -> Optional[Mono]:
 
 def _mono_key(m: Mono, varlist: Sequence[str]) -> Tuple:
     exps = dict(m)
-    return (_mono_degree(m),) + tuple(exps.get(v, 0) for v in varlist)
+    return (sum(exps.values()), *[exps.get(v, 0) for v in varlist])
 
 
 class Poly:
@@ -413,14 +419,37 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
+def _divide(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
+    """(quotient, remainder) of long division of p by a nonzero d under graded-lex.
+
+    The division stops at the first remainder whose leading term LT(d)
+    does not divide.  Leading monomials are multiplicative, so d divides
+    p exactly when that remainder is zero; for p and d in one variable it
+    is the remainder of Euclidean division.
+    """
+    varlist = sorted(p.variables | d.variables)
+    keys: Dict[Mono, Tuple] = {}  # remainders repeat monomials: order each one once
+    key = lambda m: keys.get(m) or keys.setdefault(m, _mono_key(m, varlist))
+    lead_d = max(d.terms, key=key)
+    cd = d.terms[lead_d]
+    quotient: Dict[Mono, Fraction] = {}
+    rem = p
+    while rem.terms:
+        lead_r = max(rem.terms, key=key)
+        m = _mono_div(lead_r, lead_d)
+        if m is None:
+            break
+        c = quotient[m] = rem.terms[lead_r] / cd
+        rem = rem + Poly._make({m: -c}, rem.variables) * d
+    return Poly._make(quotient, p.variables | d.variables), rem
+
+
 def exact_divide(p: Poly, d: Poly) -> Poly:
     """Return q with q*d == p exactly, or raise NotDivisibleError.
 
     A monomial divisor divides term by term.  Otherwise, or when some
-    term is not divisible, long division against the single divisor d
-    under graded-lex order runs.  Because leading monomials are
-    multiplicative, the first failed leading-term division already
-    proves non-divisibility, and the offending remainder is the witness.
+    term is not divisible, ``_divide`` runs, and its nonzero remainder is
+    the witness.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -429,20 +458,10 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
         quotient = {_mono_div(m, lead_d): c / cd for m, c in p.terms.items()}
         if None not in quotient:
             return Poly._make(quotient, p.variables | d.variables)
-    varlist = sorted(p.variables | d.variables)
-    lead_d = max(d.terms, key=lambda m: _mono_key(m, varlist)) if d.terms else ()
-    cd = d.terms[lead_d]
-    quotient: Dict[Mono, Fraction] = {}
-    rem = p
-    while rem.terms:
-        lead_r = max(rem.terms, key=lambda m: _mono_key(m, varlist))
-        m = _mono_div(lead_r, lead_d)
-        if m is None:
-            raise NotDivisibleError(rem)
-        c = rem.terms[lead_r] / cd
-        quotient[m] = c
-        rem = rem - Poly._make({m: c}, rem.variables) * d
-    return Poly._make(quotient, p.variables | d.variables)
+    quotient, rem = _divide(p, d)
+    if rem:
+        raise NotDivisibleError(rem)
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -546,28 +565,14 @@ def resultant_bivariate(p: Poly, q: Poly, var: str) -> Poly:
     n = q.degree_in(var)
     if m <= 0 or n <= 0:
         raise DegreeError(f"both inputs need positive degree in {var!r} (got {m}, {n})")
-    pc = coefficients_in(p, var)
-    qc = coefficients_in(q, var)
-    size = m + n
+    # Sylvester row ``shift`` of a form of degree k holds its coefficient of
+    # var^(shift + k - c) in column c, zero where that exponent is outside 0..k
     zero = Poly.zero()
-    rows = []
-    for shift in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[shift + k] = pc[m - k]
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[shift + k] = qc[n - k]
-        rows.append(row)
+    rows = [[by.get((shift + k - c,), zero) for c in range(m + n)]
+            for by, k, count in ((coefficients_multi(p, (var,)), m, n),
+                                 (coefficients_multi(q, (var,)), n, m))
+            for shift in range(count)]
     return PolyMatrix(rows).det_bareiss()
-
-
-def coefficients_in(p: Poly, var: str) -> list:
-    """Dense coefficient list [c0, c1, ...] of p as a polynomial in ``var``."""
-    by = coefficients_multi(p, (var,))
-    return [by.get((e,), Poly.zero()) for e in range(max(p.degree_in(var), 0) + 1)]
 
 
 def coefficients_multi(p: Poly, variables: Sequence[str]) -> Dict[Tuple[int, ...], Poly]:
@@ -801,55 +806,27 @@ def is_perfect_square(p: Poly) -> Optional[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers (dense, over Fraction coefficients)
+# Univariate polynomials: Polys whose terms involve one variable
 
 
-def to_dense(p: Poly, var: str) -> list:
-    """Coefficient list [c0, c1, ...] as Fractions; p must involve only var."""
-    extra = {v for v in p.variables if p.degree_in(v) > 0} - {var}
+def _univariate(p: Poly, var: str) -> Poly:
+    """p itself, or ScopeError when a variable other than ``var`` occurs in its terms."""
+    extra = {name for m in p.terms for name, _ in m} - {var}
     if extra:
         raise ScopeError(f"polynomial is not univariate in {var!r}: {sorted(extra)}")
-    return [c.constant_value() for c in coefficients_in(p, var)]
-
-
-def from_dense(coeffs: Sequence[Fraction], var: str) -> Poly:
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            terms[((var, e),) if e else ()] = Fraction(c)
-    return Poly(terms, {var})
-
-
-def _dense_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_mod(a: list, b: list) -> list:
-    a = list(a)
-    lb = b[-1]
-    while len(a) >= len(b):
-        factor = a[-1] / lb
-        shift = len(a) - len(b)
-        for i, cb in enumerate(b):
-            a[shift + i] -= factor * cb
-        _dense_trim(a)
-        if not a:
-            break
-    return a
+    return p
 
 
 def univariate_gcd(p: Poly, q: Poly, var: str) -> Poly:
-    """Monic gcd of two univariate polynomials over the rationals."""
-    a = _dense_trim(to_dense(p, var))
-    b = _dense_trim(to_dense(q, var))
+    """Monic gcd of two univariate polynomials over the rationals.
+
+    Euclid's algorithm on the remainders of ``_divide``.
+    """
+    a, b = _univariate(p, var), _univariate(q, var)
     while b:
-        a, b = b, _dense_mod(a, b)
-    if not a:
-        return Poly.zero()
-    lead = a[-1]
-    return from_dense([c / lead for c in a], var)
+        # a nonzero constant divides a: the remainder is zero
+        a, b = b, Poly.zero() if b.is_constant() else _divide(a, b)[1]
+    return a / a.terms[max(a.terms, key=_mono_degree)] if a else a
 
 
 # Largest trial divisor ``_int_divisors`` tries before it gives up.
@@ -887,11 +864,12 @@ def rational_roots(p: Poly, var: str) -> Optional[list]:
     factorizations needed exceed the trial-division bound; callers treat
     that as "roots not determined".
     """
-    coeffs = _dense_trim(to_dense(p, var))
-    if not coeffs:
+    if not _univariate(p, var):
         raise PolyError("zero polynomial has every root")
-    denlcm = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (denlcm // c.denominator) for c in coeffs]
+    # integer coefficients over the lcm of the denominators, lowest degree first
+    ints = [0] * (p.degree_in(var) + 1)
+    for e, n in _packed_terms(p.terms, {var: 0})[1]:
+        ints[e] = n
     content = gcd(*ints)
     ints = [c // content for c in ints]
     roots = []

@@ -146,4 +146,4 @@ def test_polycore_stays_under_the_compile_peak_step():
 
     with open(polycore.__file__) as handle:
         nodes = sum(1 for _ in ast.walk(ast.parse(handle.read())))
-    assert nodes < 8000
+    assert nodes < 8000, f"polycore.py has {nodes} AST nodes, the bound is 8,000"

@@ -332,6 +332,25 @@ class TestPencilFiber:
             assert fiber.j == j_eval(pair, dual_point_of_line(p1, p2))
             checked += 1
 
+    def test_no_root_search_without_a_square_discriminant(self, monkeypatch, seed1_net):
+        # four rational roots make the discriminant a rational square; these
+        # pencils' discriminants are not squares, so no roots are searched for
+        searches = count_calls(monkeypatch, octad_mod, "rational_roots")
+        rng = random.Random(0)
+        fibers = []
+        while len(fibers) < 3:
+            p1, p2 = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            if matrix_rank([p1, p2]) == 2:
+                fibers.append(pencil_fiber(seed1_net, p1, p2))
+        assert searches == []
+        assert [f.singular_parameters for f in fibers] == [None] * 3
+
+    def test_four_rational_roots_are_still_searched_for(self, monkeypatch):
+        searches = count_calls(monkeypatch, octad_mod, "rational_roots")
+        fiber = pencil_fiber(DIAGONAL, (1, 0, 0), (0, 1, 0))
+        assert searches == ["rational_roots"]
+        assert fiber.singular_parameters == (F(-1), F(-1, 2), F(-1, 3), F(-1, 4))
+
 
 def has_repeated_root(coeffs):
     """Whether c0 a^4 + c1 a^3 b + ... + c4 b^4 has a repeated root in P1.

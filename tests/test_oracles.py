@@ -227,6 +227,7 @@ KLEIN = x ** 3 * y + y ** 3 * Poly.var("z") + Poly.var("z") ** 3 * x
 @example(f=KLEIN, a=[[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # minor degenerates for f only
 @example(f=KLEIN, a=[[1, 0, 0], [0, 2, 0], [0, 0, -1]])  # and for f o A too
 @example(f=KLEIN, a=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # an automorphism of f
+@example(f=Poly((y ** 4).terms, "xyz"), a=[[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # g4 = g6 = 0
 def test_group_action_on_resultant_and_covariants(f, a):
     # grad(f o A) = A^T (grad f) o A: the substitution scales the resultant
     # of the three cubics by det(A)^27 and the combination by A^T by

@@ -392,6 +392,19 @@ class TestRationalHelpers:
         g = univariate_gcd((x - 1) ** 2 * (x + 2), (x - 1) * (x - 5), "x")
         assert g == x - 1
 
+    def test_univariate_helpers_reject_a_second_variable(self):
+        with pytest.raises(ScopeError):
+            univariate_gcd(x * y + 1, x - 1, "x")
+        with pytest.raises(ScopeError):
+            univariate_gcd(x - 1, x + y, "x")
+        with pytest.raises(ScopeError):
+            rational_roots(x ** 2 - y, "x")
+
+    def test_univariate_helpers_accept_a_scope_variable_of_degree_zero(self):
+        p = Poly(((x - 1) * (x + 2)).terms, "xy")  # y is in scope but in no term
+        assert univariate_gcd(p, Poly((x - 1).terms, "xyz"), "x") == x - 1
+        assert sorted(rational_roots(p, "x")) == [-2, 1]
+
 
 class TestLinearAlgebra:
     def test_nullspace_dimension(self):
