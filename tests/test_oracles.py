@@ -257,9 +257,10 @@ def poly_from(coeffs, names):
     return Poly(terms, names)
 
 
-def univariate(max_degree, coeff=st.integers(-6, 6)):
+def univariate(max_degree):
     """Polynomials in x of degree at most ``max_degree``, with rational coefficients."""
-    scalar = st.one_of(coeff, st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    scalar = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=5))
     return st.lists(scalar, min_size=1, max_size=max_degree + 1).map(
         lambda cs: poly_from({(e,): c for e, c in enumerate(cs)}, "x"))
 
