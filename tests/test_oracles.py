@@ -214,6 +214,57 @@ def cross(a, b):
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
+def product(factors):
+    p = Poly.const(1)
+    for f in factors:
+        p = p * f
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_resultant_of_products_of_linear_forms(d):
+    # Res is multiplicative in each form, and Res(l, m, f) = f(l x m), the
+    # value of f at the one common zero of the lines l and m (Res(x, y, z^d)
+    # = 1 fixes the scale).  So Res(prod l_i, prod m_j, f) = prod f(l_i x m_j)
+    # over all pairs, a value computed without any Macaulay matrix.
+    rng = random.Random(100 + d)
+    size = (d + 1) * (d + 2) // 2
+    for _ in range(10):
+        ls, ms = ([[rng.randint(-3, 3) for _ in range(3)] for _ in range(d)] for _ in range(2))
+        f = form_from([rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(size)], d)
+        expected = product(Poly.const(f.eval_at(dict(zip("xyz", cross(l, m)))))
+                           for l in ls for m in ms).constant_value()
+        lines = [product(form_from(l, 1) for l in ls), product(form_from(m, 1) for m in ms)]
+        assert resultant(lines + [f]) == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_resultant_of_coordinate_powers_is_one(d):
+    assert resultant([Poly.var(v) ** d for v in "xyz"]) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_resultant_vanishes_on_forms_through_a_common_point(d):
+    # subtracting f(1, 1, 1) x^d puts [1:1:1] on each form
+    rng = random.Random(110 + d)
+    size = (d + 1) * (d + 2) // 2
+    for _ in range(3):
+        fs = []
+        for _ in range(3):
+            coeffs = [rng.randint(-4, 4) for _ in range(size)]
+            coeffs[0] -= sum(coeffs)
+            fs.append(form_from(coeffs, d))
+        assert all(f.eval_at({"x": 1, "y": 1, "z": 1}) == 0 for f in fs)
+        assert resultant(fs) == 0
+
+
+def test_linear_resultant_is_the_coefficient_determinant():
+    rng = random.Random(120)
+    for _ in range(10):
+        rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        assert resultant([form_from(row, 1) for row in rows]) == det3(rows)
+
+
 def partials(f):
     return [f.partial(v) for v in "xyz"]
 
