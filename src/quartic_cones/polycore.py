@@ -36,22 +36,22 @@ threads.  There is no floating point anywhere in this module.
 
 Besides the polynomial ring the module provides the elimination toolkit
 used by the rest of the package: cofactor and fraction-free (Bareiss)
-determinants of polynomial matrices, Sylvester resultants, the Macaulay
-resultant of three ternary forms with rational coefficients,
-perfect-square detection, and exact linear algebra over the rationals:
-the determinant and the rank (the same Bareiss elimination, on rows
-scaled to integers; the determinant is the kernel of every Macaulay
-certificate), rref for nullspace and inverse, matrix-vector products,
-the congruence s^T m s that moves a quadratic form to new coordinates,
-and random invertible integer matrices for changes of frame.  These
-matrix helpers are the package's only rational linear-algebra layer.
+determinants of polynomial matrices, Sylvester resultants, the resultant
+of three ternary forms with rational coefficients as one determinant of
+the hybrid Sylvester-Bezout matrix (Macaulay's classical quotient stays
+as its reference), perfect-square detection, and exact linear algebra
+over the rationals: the determinant and the rank (the same Bareiss
+elimination, on rows scaled to integers; the determinant is the kernel
+of every resultant certificate), rref for nullspace and inverse,
+matrix-vector products, and the congruence s^T m s that moves a
+quadratic form to new coordinates.  These matrix helpers are the
+package's only rational linear-algebra layer.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[str, int], ...]
@@ -81,10 +81,6 @@ class DegreeError(PolyError):
 
 class HomogeneityError(PolyError):
     """An input is not (weighted) homogeneous as required."""
-
-
-class MacaulayDegenerateError(PolyError):
-    """The Macaulay minor stayed singular through all coordinate changes."""
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -630,8 +626,10 @@ def macaulay_quotient(forms: Sequence[Poly], variables: Sequence[str],
 
     Returns (quotient, det_minor) as Fractions: the resultant candidate
     det(M)/det(M') and the minor that was divided out.  When det(M') is
-    zero the pair (None, Fraction(0)) is returned and the caller decides
-    how to recover (typically by a random linear change of coordinates).
+    zero the pair (None, Fraction(0)) is returned.  No code in the
+    package calls it: ``macaulay_resultant_ternary`` computes the
+    resultant by the hybrid determinant, and this quotient is the
+    independent construction that the tests compare it with.
 
     Row r of Macaulay's matrix M holds the coefficients of x^shift * f_i
     for the r-th monomial of the critical degree sum(d_i) - n + 1
@@ -697,24 +695,71 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     return rank_mod_p(rows) == columns or matrix_rank(rows) == columns
 
 
-# The variables of macaulay_resultant_ternary's forms, and how many random
-# coordinate changes it tries after the identity frame.
+# The variables of macaulay_resultant_ternary's forms.
 TERNARY_VARIABLES = ("x", "y", "z")
-MACAULAY_RETRIES = 8
+
+
+def _bezoutian_rows(forms, d, index):
+    """The Bezout rows of the hybrid matrix of three ternary forms of degree d.
+
+    The Bezoutian is det(delta_ij), where delta_ij is the divided
+    difference (f_i(y_<j, x_>=j) - f_i(y_<=j, x_>j)) / (x_j - y_j), read
+    term by term from (u^k - v^k) / (u - v) = sum u^a v^(k-1-a).  Each form
+    is scaled to integers by the lcm of its denominators, and a monomial in
+    x and y is packed into one int (x's exponents, y's, then the
+    y-degree), so a monomial product is one addition.  Only the part of
+    y-degree d - 1 is read, so products of y-degree d or more are dropped.
+    The row of y^m (grlex-descending) holds the coefficient of y^m x^c in
+    column ``index[c]``, divided by the product of the scales.
+    """
+    w = (3 * d).bit_length()  # a field holds any exponent of the degree 3d - 3 Bezoutian
+    top = 6 * w
+    xs = [1 << i * w for i in range(3)]
+    ys = [u << 3 * w | 1 << top for u in xs]  # y_i, and one more in the y-degree
+    scale, delta = 1, []
+    for f in forms:
+        s, terms = _packed_terms(f.terms, {v: i * w for i, v in enumerate(TERNARY_VARIABLES)})
+        scale *= s
+        entries = [{}, {}, {}]
+        for key, n in terms:
+            # key runs through y_<j^a * x_>=j^a: delta_ij's terms are
+            # y_<j^a * x_j^k * y_j^(a_j-1-k) * x_>j^a for k < a_j
+            for j, (u, v) in enumerate(zip(xs, ys)):
+                a = key >> j * w & (1 << w) - 1
+                key -= a * u
+                for k in range(a):
+                    entries[j][key + k * u + (a - 1 - k) * v] = n
+                key += a * v
+        delta.append(entries)
+
+    def times(left, right, out, sign=1):
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                if (k := k1 + k2) >> top < d:
+                    out[k] = out.get(k, 0) + sign * c1 * c2
+        return out
+
+    first, second, third = delta
+    bezoutian = {}
+    for j, p, q in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # expansion along the first row
+        minor = times(second[q], third[p], times(second[p], third[q], {}), -1)
+        times(first[j], minor, bezoutian)
+    return [[Fraction(bezoutian.get(sum(e * u for e, u in zip(c + m, xs + ys)), 0), scale)
+             for c in index] for m in _monomials_of_degree(TERNARY_VARIABLES, d - 1)]
 
 
 def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
-    """Macaulay resultant of three ternary forms of one common degree d.
+    """Resultant of three ternary forms of one common degree d.
 
     Zero exactly when the forms share a projective zero over the complex
-    numbers.  When the Macaulay minor degenerates, the forms are moved by
-    a random invertible integer matrix M, drawn from ``random.Random(0)``,
-    and the computation retried.  The quotient in that frame is
-    det(M)^(d^3) * Res; dividing that factor out returns Res itself,
-    whichever frame computed it.  Systems with positive-dimensional zero
-    loci can keep the minor singular in every frame; those are decided
-    (exactly) by the critical-degree rank test and reported as resultant
-    zero.
+    numbers.  It is the determinant of the hybrid Sylvester-Bezout matrix
+    (Jouanolou 1997; Dickenstein and D'Andrea 2001), d(2d - 1) square,
+    whose columns are the monomials of degree 2d - 2 and whose rows are
+    x^e * f_i for each form and each monomial x^e of degree d - 2, then
+    ``_bezoutian_rows``.  That determinant has no extraneous factor: it
+    is Res up to a sign fixed by d, so the result is multiplied by the
+    same determinant for x^d, y^d, z^d, which is that sign and makes
+    Res(x^d, y^d, z^d) = 1.  No minor, frame or retry is involved.
     """
     forms = [f1, f2, f3]
     vs = TERNARY_VARIABLES
@@ -723,10 +768,9 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
         extra = f.variables - set(vs)
         if any(f.degree_in(v) > 0 for v in extra):
             raise PolyError(f"coefficients must be rational; stray variables {sorted(extra)}")
-        if f.is_zero():
-            continue
-        degs.append(f.homogeneous_degree({v: 1 for v in vs}))
-    if any(f.is_zero() for f in forms):
+        if f:
+            degs.append(f.homogeneous_degree({v: 1 for v in vs}))
+    if len(degs) < 3:
         # A zero form shares a projective zero with the other two always
         # (two ternary forms of positive degree meet in P2).
         return Fraction(0)
@@ -735,21 +779,11 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
     d = degs[0]
     if d < 1:
         raise DegreeError("forms must have positive degree")
-
-    rng = random.Random(0)
-    current, scale = forms, 1
-    for attempt in range(MACAULAY_RETRIES + 1):
-        quotient, _ = macaulay_quotient(current, vs, (d, d, d))
-        if quotient is not None:
-            return quotient / scale
-        if attempt == 1 and not ideal_spans_critical_degree(forms, vs, (d, d, d)):
-            return Fraction(0)
-        mat, det = random_invertible(3, rng, 5)
-        images = {v: sum((Poly.var(w) * c for w, c in zip(vs, row)), Poly.zero())
-                  for v, row in zip(vs, mat)}
-        current = [f.subs(images) for f in forms]
-        scale = det ** d ** 3
-    raise MacaulayDegenerateError("Macaulay minor vanished for every coordinate change")
+    index = {m: i for i, m in enumerate(_monomials_of_degree(vs, 2 * d - 2))}
+    return prod(det_fraction([_shifted_row(f, e, vs, index)
+                              for f in fs for e in _monomials_of_degree(vs, d - 2)]
+                             + _bezoutian_rows(fs, d, index))
+                for fs in (forms, [Poly.var(v) ** d for v in vs]))
 
 
 # ---------------------------------------------------------------------------
@@ -1040,18 +1074,6 @@ def congruence(m: Sequence[Sequence[Fraction]], s: Sequence[Sequence[Fraction]])
     n = len(s)
     ms = [[sum(m[i][k] * s[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return [[sum(s[k][i] * ms[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def random_invertible(n: int, rng, bound: int) -> Tuple[list, Fraction]:
-    """Random n x n matrix with entries in [-bound, bound], and its nonzero determinant.
-
-    Entries are drawn row by row; singular draws are discarded whole.
-    """
-    while True:
-        m = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-        det = det_fraction(m)
-        if det != 0:
-            return m, det
 
 
 def clear_denominators(vec: Sequence[Fraction]):

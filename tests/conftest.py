@@ -1,9 +1,23 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from quartic_cones import octad as octad_mod
 from quartic_cones.polyio import parse_poly
+
+# Tier-1 draws the same Hypothesis examples on every run and keeps no
+# example database, so a tree's verdict depends only on the tree.  The
+# opt-in "explore" profile draws fresh examples
+# (pytest --hypothesis-profile=explore, and --hypothesis-seed=N to replay
+# a run); pin what it finds as an @example.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.register_profile("explore", database=None)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("repeatable")
 
 # Coordinate simplex plus three generic points; every test that needs an
 # Aronhold heptad uses this one.

@@ -47,7 +47,8 @@ def test_every_spanned_name_exists():
 
 def test_scalar_certificate_runs_through_a_spanned_name():
     # a certificate with rational coefficients must show up as det_fraction
-    # spans (matrix and minor), not as polynomial Bareiss or a private alias
+    # spans (the hybrid matrix and its x^3, y^3, z^3 normalisation), not as
+    # polynomial Bareiss or a private alias
     tracer = load_tracer()
     spans = tracer.Tracer()
     x, y, z = (polycore.Poly.var(n) for n in "xyz")

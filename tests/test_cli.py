@@ -228,7 +228,6 @@ class TestS4Command:
 
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, capsys, heptad_file):
-        # the standard heptad's Hessian resultant comes from a retry frame
         outputs = []
         for _ in range(2):
             code = main(["octad", "check", heptad_file])

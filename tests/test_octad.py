@@ -242,10 +242,9 @@ class TestModularCertificate:
             return
         calls = [count_calls(monkeypatch, module, name)
                  for module, name in ((polycore, "macaulay_quotient"),
-                                      (octad_mod, "hessian_quartic"),
-                                      (polycore, "random_invertible"))]
+                                      (octad_mod, "hessian_quartic"))]
         assert len(eighth_point(net_from_heptad(heptad)).points) == 8
-        assert calls == [[], [], []]
+        assert calls == [[], []]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -1,12 +1,14 @@
 """Oracles for the exact kernel that do not run through it.
 
 ``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
-determinant, and the Macaulay resultant is checked against identities
-that hold for any correct kernel: homogeneity in each form, the
-transformation rule under a linear change of coordinates, and the action
-of GL3 on a quartic's partials and on its covariants g4 and g6.  The
-resultant is checked both as the identity-frame Macaulay quotient and as
-``macaulay_resultant_ternary``, whose retry frames must not change it.
+determinant, and the resultant of three ternary forms is checked against
+identities that hold for any correct kernel: homogeneity in each form,
+the transformation rule under a linear change of coordinates, the action
+of GL3 on a quartic's partials and on its covariants g4 and g6, and the
+product formula for forms that split into linear factors.  Each identity
+runs through ``macaulay_resultant_ternary`` (the hybrid Sylvester-Bezout
+determinant) and, where its minor does not vanish, through the classical
+Macaulay quotient, which computes the same value by another matrix.
 The univariate layer and exact division are compared with SymPy's gcd,
 ground roots, remainder, division and Sylvester resultant.
 """
@@ -142,7 +144,7 @@ def form_from(coeffs, d):
 def form(d):
     size = (d + 1) * (d + 2) // 2
     # sparse draws (most coefficients zero) often make the identity-frame
-    # Macaulay minor vanish, so the retry frames are exercised too
+    # Macaulay minor vanish and the resultant zero
     coeffs = st.one_of(st.lists(st.integers(-4, 4), min_size=size, max_size=size),
                        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]),
                                 min_size=size, max_size=size))

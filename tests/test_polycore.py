@@ -33,7 +33,6 @@ from quartic_cones.polycore import (
     mat_vec,
     matrix_rank,
     nullspace,
-    random_invertible,
     rational_roots,
     rational_sqrt,
     resultant_bivariate,
@@ -270,6 +269,16 @@ class TestMacaulay:
         assert all(len(row) == 36 and sorted(row) == [0] * 35 + [1] for row in rows)
         assert matrix_rank(rows) == 36
 
+    def test_forms_whose_scope_lacks_a_variable(self):
+        # the third form, a product of Poly.var factors, has no z in its
+        # scope; the identity-frame Macaulay minor vanishes for these forms
+        forms = (x ** 2 + 2 * x * y + y ** 2 + z ** 2, 2 * x ** 2 + 2 * y ** 2 + y * z + z ** 2,
+                 x ** 2 + 2 * x * y + 2 * y ** 2)
+        assert forms[2].variables == {"x", "y"}
+        assert macaulay_quotient(forms, "xyz", (2, 2, 2)) == (None, F(0))
+        assert macaulay_resultant_ternary(*forms) == 640
+        assert macaulay_resultant_ternary(*(Poly(f.terms, "xyz") for f in forms)) == 640
+
     def test_quotient_rejects_polynomial_coefficients(self):
         # a hidden variable a makes the Macaulay matrix non-constant
         a = Poly.var("a")
@@ -315,10 +324,35 @@ class TestPrintedCertificates:
         assert hq.resultant == int(
             "7620780577657860170399164471820260473638226528083094686634016153720435901"
             "4717417144438831342135141777493880890982400000000")
-        # the identity frame degenerates, so the value above comes from a retry frame
+        # the identity-frame minor degenerates, so the frame law is the check
         assert macaulay_quotient(self.partials(hq.quartic), "xyz", (3, 3, 3)) \
             == (None, F(0))
         self.assert_frame_law(hq.quartic, hq.resultant)
+
+    def test_degenerate_minors_enter_no_frame(self, monkeypatch):
+        # Klein's partials and the standard heptad's Hessian partials both
+        # have a vanishing identity-frame Macaulay minor; the resultant is
+        # one determinant all the same, with no quotient, rank test or
+        # change of coordinates
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(polycore, "macaulay_quotient")
+        count(polycore, "ideal_spans_critical_degree")
+        count(Poly, "subs")
+        klein = x ** 3 * y + y ** 3 * z + z ** 3 * x
+        hessian = net_from_heptad(STANDARD_HEPTAD).determinant
+        assert macaulay_resultant_ternary(*self.partials(klein)) == 2 ** 14 * 7 ** 7
+        assert macaulay_resultant_ternary(*self.partials(hessian)) != 0
+        assert calls == []
 
 
 class TestPerfectSquare:
@@ -449,19 +483,13 @@ class TestLinearAlgebra:
     def test_congruence_moves_the_quadratic_form(self):
         rng = random.Random(3)
         m = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-        s, _ = random_invertible(3, rng, 4)
+        s = [[F(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
+        assert det_fraction(s) == -49
         c = congruence(m, s)
         for vec in ([F(1), F(0), F(2)], [F(-1), F(3), F(1, 2)]):
             sy = mat_vec(s, vec)
             assert sum(a * b for a, b in zip(sy, mat_vec(m, sy))) \
                 == sum(a * b for a, b in zip(vec, mat_vec(c, vec)))
-
-    def test_random_invertible_draws_row_by_row(self):
-        m, det = random_invertible(4, random.Random(5), 4)
-        rng = random.Random(5)
-        first_draw = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        assert det == det_fraction(first_draw) == 228  # invertible, so it is kept as drawn
-        assert m == first_draw
 
 
 @st.composite
@@ -740,6 +768,19 @@ class TestPickle:
                 assert back.terms == value.terms and back.variables == value.variables
                 assert all(type(c) is F for c in back.terms.values())
                 assert back == value and hash(back) == hash(value)
+
+
+def test_no_module_imports_random():
+    # the package makes no hidden random choice: no frame, seed or retry
+    for path in sorted(Path(polycore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "random" not in names, f"{path.name} imports random"
 
 
 def test_no_module_imports_a_private_polycore_name():
