@@ -13,6 +13,7 @@ The univariate layer and exact division are compared with SymPy's gcd,
 ground roots, remainder, division and Sylvester resultant.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -216,13 +217,6 @@ def cross(a, b):
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def product(factors):
-    p = Poly.const(1)
-    for f in factors:
-        p = p * f
-    return p
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_resultant_of_products_of_linear_forms(d):
     # Res is multiplicative in each form, and Res(l, m, f) = f(l x m), the
@@ -234,9 +228,8 @@ def test_resultant_of_products_of_linear_forms(d):
     for _ in range(10):
         ls, ms = ([[rng.randint(-3, 3) for _ in range(3)] for _ in range(d)] for _ in range(2))
         f = form_from([rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(size)], d)
-        expected = product(Poly.const(f.eval_at(dict(zip("xyz", cross(l, m)))))
-                           for l in ls for m in ms).constant_value()
-        lines = [product(form_from(l, 1) for l in ls), product(form_from(m, 1) for m in ms)]
+        expected = math.prod(f.eval_at(dict(zip("xyz", cross(l, m)))) for l in ls for m in ms)
+        lines = [math.prod(form_from(l, 1) for l in ls), math.prod(form_from(m, 1) for m in ms)]
         assert resultant(lines + [f]) == expected
 
 
