@@ -8,9 +8,9 @@ locus of the net is a regular Cayley octad when the heptad is Aronhold,
 and the pairs of octad points mark the 28 bitangents of the Hessian
 quartic.  Everything here is exact rational linear algebra over
 polycore, including a closed form for the eighth base point.  The
-Aronhold verdict that ``eighth_point`` needs is frame-free: the Hessian
-quartic is smooth exactly when its partials have no common zero, which
-polycore's ``ideal_spans_critical_degree`` decides.
+Aronhold verdict has one route: ``hessian_quartic`` calls the Hessian
+quartic smooth exactly when the resultant of its partials is nonzero,
+and both ``aronhold_check`` and ``eighth_point`` read that verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .polycore import (
     coefficients_multi,
     congruence,
     det_fraction,
-    ideal_spans_critical_degree,
     inverse,
     is_perfect_square,
     macaulay_resultant_ternary,
@@ -259,7 +258,7 @@ def net_from_heptad(points: Sequence) -> QuadricNet:
 
 
 def hessian_quartic(net: QuadricNet) -> HessianQuartic:
-    """det(x A0 + y A1 + z A2) with its Macaulay smoothness certificate."""
+    """det(x A0 + y A1 + z A2), smooth exactly when its partials' resultant is nonzero."""
     quartic = net.determinant
     if quartic.is_zero() or quartic.weighted_degrees({"x": 1, "y": 1, "z": 1}) != {4}:
         return HessianQuartic(quartic, False, Fraction(0))
@@ -318,20 +317,17 @@ def eighth_point(net: QuadricNet, rng=None,
     verifies the point on all three generators and against the seven.
 
     Without ``check`` the Aronhold verdict is computed on ``net`` itself
-    (its Hessian determinant is then cached for later consumers).  The
-    verdict needs only that the quartic is smooth, never its resultant:
-    ``ideal_spans_critical_degree`` decides that its partials have no
-    common zero, in no coordinate frame.  ``rng`` is unused and kept for
-    callers that pass one.
+    by ``hessian_quartic``, the resultant that ``octad check`` prints,
+    here computed but not printed (the net's Hessian determinant is then
+    cached for later consumers).  ``rng`` is unused and kept for callers
+    that pass one.
     """
     if len(net.basepoints) < 7:
         raise OctadError("eighth_point needs the net's seven defining points")
     known = net.basepoints[:7]
     if check is None:
         dimension = 10 - matrix_rank([_quadric_row(p) for p in known])
-        smooth = (ideal_spans_critical_degree(
-            [net.determinant.partial(v) for v in "xyz"], "xyz", (3, 3, 3))
-                  if dimension == 3 else None)
+        smooth = hessian_quartic(net).smooth if dimension == 3 else None
     else:
         dimension, smooth = check.net_dimension, check.hessian_smooth
     if not (dimension == 3 and smooth):

@@ -687,12 +687,11 @@ def ideal_spans_critical_degree(forms: Sequence[Poly], variables: Sequence[str],
     sum(d_i) - n + 1, while a common zero forces the multiplication map
     (``critical_degree_rows``) into a proper subspace.  The rank test is
     field-stable, so rational linear algebra decides the question over
-    the complex numbers.  A full rank mod ``CERTIFICATE_PRIME``
-    (``rank_mod_p``) proves the full rank over Q; only a shortfall runs
-    the exact ``matrix_rank`` on the same rows.
+    the complex numbers.  No code in the package calls it; the tests
+    compare it with the zero set of ``macaulay_resultant_ternary``.
     """
     rows, columns = critical_degree_rows(forms, variables, degrees)
-    return rank_mod_p(rows) == columns or matrix_rank(rows) == columns
+    return matrix_rank(rows) == columns
 
 
 # The variables of macaulay_resultant_ternary's forms.
@@ -1006,36 +1005,6 @@ def rref(rows: Sequence[Sequence[Fraction]]):
 def matrix_rank(rows) -> int:
     """Rank of a rational matrix: ``_bareiss`` on its rows scaled to integers."""
     return _bareiss(_integer_rows(rows)[0])[0]
-
-
-# Mersenne prime for ``rank_mod_p``.
-CERTIFICATE_PRIME = 2 ** 61 - 1
-
-
-def rank_mod_p(rows: Sequence[Sequence[Fraction]]) -> int:
-    """The rank modulo ``CERTIFICATE_PRIME`` of a rational matrix.
-
-    The rows are scaled to integers as in ``matrix_rank`` and reduced by
-    Gaussian elimination mod p.  A minor that is nonzero mod p is
-    nonzero, so the result never exceeds the rank over Q; it falls short
-    only when p divides every nonzero maximal minor.
-    """
-    p = CERTIFICATE_PRIME
-    m = [[v % p for v in row] for row in _integer_rows(rows)[0]]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        top = m[rank][c + 1:]
-        inverse_pivot = pow(m[rank][c], -1, p)
-        for row in m[rank + 1:]:
-            factor = row[c] * inverse_pivot % p
-            if factor:
-                row[c + 1:] = [(b - factor * t) % p for b, t in zip(row[c + 1:], top)]
-        rank += 1
-    return rank
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list:

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction as F
 
@@ -32,12 +31,10 @@ from quartic_cones.octad import (
     steinerian_point,
 )
 from quartic_cones.polycore import (
-    CERTIFICATE_PRIME,
     Poly,
     PolyMatrix,
     ideal_spans_critical_degree,
     matrix_rank,
-    rank_mod_p,
     univariate_gcd,
 )
 from quartic_cones.polyio import parse_poly
@@ -175,54 +172,34 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def scaled_rows(rows):
-    """The integer rows that rank_mod_p reduces: each row times the lcm of its denominators."""
-    return [[v * math.lcm(*(F(c).denominator for c in row)) for v in row] for row in rows]
-
-
 def oracle_heptads():
     return [STANDARD_HEPTAD, *seeded_heptads(), *SEED1_HEPTADS.values()]
 
 
 class TestModularCertificate:
-    def test_zero_residue_is_no_proof(self):
-        for rows in ([[CERTIFICATE_PRIME]],
-                     [[F(CERTIFICATE_PRIME, 3), 1], [0, 3]],
-                     [[2, 1], [1, F(CERTIFICATE_PRIME + 1, 2)]]):
-            assert rank_mod_p(rows) == matrix_rank(rows) - 1
+    """The Aronhold verdict of ``eighth_point``: the resultant ``octad check`` prints.
 
-    def test_singular_and_regular(self):
-        assert rank_mod_p([[1, 2], [2, 4]]) == 1
-        assert rank_mod_p([[0, F(1, 2)], [F(2, 3), 0]]) == 2
-        assert rank_mod_p([[0, 0, 0], [0, 0, 0]]) == 0
-        assert rank_mod_p([]) == 0
-
-    @pytest.mark.parametrize("index", range(6))
-    def test_forced_no_proof_keeps_pinned_points(self, monkeypatch, index):
-        monkeypatch.setattr(polycore, "rank_mod_p", lambda rows: 0)
-        exact = count_calls(monkeypatch, polycore, "matrix_rank")
-        net = net_from_heptad(seeded_heptads()[index])
-        p8 = eighth_point(net, rng=random.Random(0)).point(8)
-        assert p8 == tuple(F(c) for c in PINNED_EIGHTH_POINTS[index])
-        assert exact == ["matrix_rank"]
+    The class keeps the name it had when the verdict was a modular rank,
+    so that its test ids stay stable.
+    """
 
     def test_coplanar_seed_heptad_rejected(self):
         net = net_from_heptad(SEED1_HEPTADS[4])
         with pytest.raises(OctadError, match="not Aronhold"):
             eighth_point(net)
 
-    def test_random_heptad_certified_without_exact_resultant(self, monkeypatch):
+    def test_random_heptad_certified_without_macaulay_quotient(self, monkeypatch):
         quotients = count_calls(monkeypatch, polycore, "macaulay_quotient")
         octad = eighth_point(net_from_heptad(SEED1_HEPTADS[1]))
         assert quotients == []
         assert len(octad.points) == 8
 
-    def test_simplex_heptad_certified_without_exact_resultant(self, monkeypatch):
+    def test_simplex_heptad_certified_without_macaulay_quotient(self, monkeypatch):
         quotients = count_calls(monkeypatch, polycore, "macaulay_quotient")
         octad = eighth_point(net_from_heptad(STANDARD_HEPTAD))
         assert octad.point(8) == (F(121), F(-22), F(-15), F(-11))
-        # the rank needs no frame, so a simplex heptad's vanishing
-        # identity-frame Macaulay minor costs nothing
+        # the hybrid resultant is one determinant, so a simplex heptad's
+        # vanishing identity-frame Macaulay minor costs nothing
         assert quotients == []
 
     @pytest.mark.parametrize("index", range(10))
@@ -235,34 +212,21 @@ class TestModularCertificate:
 
     @pytest.mark.parametrize("index", range(10))
     def test_aronhold_verdict_enters_no_frame(self, monkeypatch, index):
+        # eighth_point accepts exactly the heptads that aronhold_check
+        # accepts, and reaches its verdict through one hessian_quartic
         heptad = oracle_heptads()[index]
-        if not aronhold_check(heptad).verdict:
-            with pytest.raises(OctadError, match="not Aronhold"):
-                eighth_point(net_from_heptad(heptad))
-            return
+        verdict = aronhold_check(heptad).verdict
+        net = net_from_heptad(heptad)
         calls = [count_calls(monkeypatch, module, name)
-                 for module, name in ((polycore, "macaulay_quotient"),
-                                      (octad_mod, "hessian_quartic"))]
-        assert len(eighth_point(net_from_heptad(heptad)).points) == 8
-        assert calls == [[], []]
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_agrees_with_exact_rank(self, data):
-        n_rows, n_cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        entry = st.fractions(min_value=-40, max_value=40, max_denominator=6)
-        rows = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
-        if n_rows > 1 and data.draw(st.booleans()):  # a rank-deficient matrix
-            a, b = data.draw(entry), data.draw(entry)
-            rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n_rows - 1)])]
-        exact = matrix_rank(rows)
-        modular = rank_mod_p(rows)
-        assert modular <= exact
-        # Hadamard: every minor of the scaled rows is below the product of
-        # their norms, so when that product is below p no minor vanishes mod p
-        if math.prod(max(1, sum(v * v for v in row))
-                     for row in scaled_rows(rows)) < CERTIFICATE_PRIME ** 2:
-            assert modular == exact
+                 for module, name in ((octad_mod, "hessian_quartic"),
+                                      (polycore, "macaulay_quotient"),
+                                      (polycore, "ideal_spans_critical_degree"))]
+        if verdict:
+            assert len(eighth_point(net).points) == 8
+        else:
+            with pytest.raises(OctadError, match="not Aronhold"):
+                eighth_point(net)
+        assert calls == [["hessian_quartic"], [], []]
 
 
 class TestBitangents:

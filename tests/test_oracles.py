@@ -9,8 +9,10 @@ product formula for forms that split into linear factors.  Each identity
 runs through ``macaulay_resultant_ternary`` (the hybrid Sylvester-Bezout
 determinant) and, where its minor does not vanish, through the classical
 Macaulay quotient, which computes the same value by another matrix.
-The univariate layer and exact division are compared with SymPy's gcd,
-ground roots, remainder, division and Sylvester resultant.
+The line section of a quartic and its covariants g4 and g6 are compared
+with SymPy's own expansion and division.  The univariate layer and exact
+division are compared with SymPy's gcd, ground roots, remainder,
+division and Sylvester resultant.
 """
 
 import math
@@ -286,6 +288,33 @@ def test_group_action_on_resultant_and_covariants(f, a):
     pair, moved = covariants(QuarticCurve(f)), covariants(QuarticCurve(fa))
     assert moved.g4 == compose(pair.g4, cofactors, "stu")
     assert moved.g6 == compose(pair.g6, cofactors, "stu")
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=form(4))
+@example(f=KLEIN)
+@example(f=Poly((y ** 4).terms, "xyz"))  # g4 = g6 = 0
+def test_covariants_match_sympy_line_restriction(f):
+    # SymPy expands the line section H(u x, u y, -(s x + t y)) itself and
+    # divides the binary invariants h2, h3 by u^4 and u^6
+    sympy = pytest.importorskip("sympy")
+    assume(not f.is_zero())
+    X, Y, Z, S, T, U = sympy.symbols("x y z s t u")
+    section = sympy.Poly(sympy.expand(to_sympy(f).subs(
+        {X: U * X, Y: U * Y, Z: -(S * X + T * Y)}, simultaneous=True)), X, Y)
+    b = [section.coeff_monomial(X ** (4 - k) * Y ** k) for k in range(5)]
+    curve = QuarticCurve(f)
+    for ours, expected in zip(curve.restriction, b):
+        assert_same_poly(ours, expected)
+    b0, b1, b2, b3, b4 = b
+    h2 = (-3 * b1 * b3 + 12 * b0 * b4 + b2 ** 2) / 3
+    h3 = (72 * b0 * b2 * b4 - 27 * b0 * b3 ** 2 - 27 * b1 ** 2 * b4
+          + 9 * b1 * b2 * b3 - 2 * b2 ** 3) / 27
+    pair = covariants(curve)
+    for ours, h, power in ((pair.g4, h2, 4), (pair.g6, h3, 6)):
+        quotient, remainder = sympy.div(sympy.expand(h), U ** power, S, T, U)
+        assert remainder == 0
+        assert_same_poly(ours, quotient)
 
 
 # ---------------------------------------------------------------------------

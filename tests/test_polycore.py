@@ -253,9 +253,6 @@ class TestMacaulay:
         assert ideal_spans_critical_degree(smooth, "xyz", (3, 3, 3))
         sing = ((x * y) ** 1 * x, x ** 2 * y, x * y * z)
         assert not ideal_spans_critical_degree(sing, "xyz", (3, 3, 3))
-
-    def test_exact_rank_decides_without_the_modular_proof(self, monkeypatch):
-        monkeypatch.setattr(polycore, "rank_mod_p", lambda rows: 0)
         klein = x ** 3 * y + y ** 3 * z + z ** 3 * x
         singular = (x ** 2 - y ** 2) ** 2 + z * (x ** 3 + y ** 3 + z ** 3)
         for quartic, smooth in ((klein, True), (singular, False)):
