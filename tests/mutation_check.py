@@ -59,6 +59,8 @@ MUTANTS = (
     # the rest of the kernel
     ("_bareiss: row swap keeps the sign", POLYCORE,
      "            sign = -sign\n", "", ("test_polycore.py", "test_oracles.py")),
+    ("_integer_rows: row scales not multiplied", POLYCORE,
+     "        scale *= row_scale\n", "", ("test_polycore.py", "test_oracles.py")),
     ("_divide: remainder doubled", POLYCORE,
      "return Poly._make(quotient, p.variables | d.variables), rem",
      "return Poly._make(quotient, p.variables | d.variables), rem * 2",
@@ -66,6 +68,10 @@ MUTANTS = (
     ("is_perfect_square: root term not halved", POLYCORE,
      "rem.terms[m] / (2 * root_c)", "rem.terms[m] / root_c",
      ("test_polycore.py", "test_octad.py")),
+    ("rational_roots: each root taken once", POLYCORE,
+     "while len(current) > 1 and _dense_eval(current, r) == 0:",
+     "if len(current) > 1 and _dense_eval(current, r) == 0:",
+     ("test_polycore.py", "test_oracles.py")),
     ("j_of_values: factor 4 dropped", COVARIANTS,
      "return 1728 * 4 * a ** 3 / disc", "return 1728 * a ** 3 / disc",
      ("test_covariants.py", "test_cli_corpus.py")),
@@ -105,8 +111,7 @@ def main(argv) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
         src = fresh_copy(tmp)
-        files = sorted({name for m in chosen for name in m[4]})
-        failed = run_tests(src, files)
+        failed = run_tests(src, sorted({name for m in chosen for name in m[4]}))
         if failed is not None:
             print(f"the unmutated copy fails {failed}")
             return 2
