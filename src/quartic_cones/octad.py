@@ -7,10 +7,12 @@ pencil is a plane quartic (the Hessian quartic of the net), the base
 locus of the net is a regular Cayley octad when the heptad is Aronhold,
 and the pairs of octad points mark the 28 bitangents of the Hessian
 quartic.  Everything here is exact rational linear algebra over
-polycore, including a closed form for the eighth base point.  The
-Aronhold verdict has one route: ``hessian_quartic`` calls the Hessian
-quartic smooth exactly when the resultant of its partials is nonzero,
-and both ``aronhold_check`` and ``eighth_point`` read that verdict.
+polycore, including a closed form for the eighth base point, and it runs
+on Python ints wherever the data are integers: points, nets of heptads,
+polars and the bitangent restrictions.  The Aronhold verdict has one
+route: ``hessian_quartic`` calls the Hessian quartic smooth exactly when
+the resultant of its partials is nonzero, and both ``aronhold_check``
+and ``eighth_point`` read that verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polycore import (
@@ -66,8 +69,8 @@ class CorankTooHigh(OctadError):
     """The net matrix drops rank by two or more at the given point."""
 
 
-def normalize_point(p) -> Tuple[Fraction, ...]:
-    """Primitive integer coordinates with positive first nonzero entry."""
+def normalize_point(p) -> Tuple[int, ...]:
+    """Primitive integer coordinates, as ints, with positive first nonzero entry."""
     return tuple(clear_denominators(point_coordinates(p, "P3")))
 
 
@@ -83,7 +86,7 @@ def _from_normalized(cls, *args):
 
 
 def quadric_polar(matrix, p, q) -> Fraction:
-    """The bilinear form p^T matrix q on coordinate tuples of P3."""
+    """The bilinear form p^T matrix q on coordinate tuples of P3; an int on int data."""
     return sum(p[i] * matrix[i][j] * q[j] for i in range(4) for j in range(4))
 
 
@@ -93,16 +96,23 @@ def quadric_eval(matrix, p) -> Fraction:
 
 
 class QuadricNet:
-    """Three symmetric 4x4 rational matrices spanning a net of quadrics."""
+    """Three symmetric 4x4 rational matrices spanning a net of quadrics.
+
+    Each entry is stored as its Fraction, reduced to the int numerator
+    when the denominator is 1, so the net of a heptad holds ints and its
+    polars are integer dot products, while a rational net keeps its
+    exact Fractions.
+    """
 
     def __init__(self, matrices: Sequence[Sequence[Sequence[Fraction]]],
                  basepoints: Sequence = ()):
         self._init(matrices, tuple(normalize_point(p) for p in basepoints))
 
-    def _init(self, matrices, basepoints: Tuple[Tuple[Fraction, ...], ...]):
+    def _init(self, matrices, basepoints: Tuple[Tuple[int, ...], ...]):
         mats = []
         for m in matrices:
-            rows = tuple(tuple(Fraction(v) for v in row) for row in m)
+            rows = tuple(tuple(f.numerator if (f := Fraction(v)).denominator == 1 else f
+                               for v in row) for row in m)
             if len(rows) != 4 or any(len(r) != 4 for r in rows):
                 raise OctadError("net generators must be 4x4")
             for i in range(4):
@@ -138,9 +148,30 @@ class QuadricNet:
         return self.symbol_matrix().det()
 
     def determinant_on_line(self, p, q) -> Poly:
-        """The determinant at a1 p + a2 q: a binary form in a1, a2 for net points p, q."""
-        a1, a2 = Poly.var("a1"), Poly.var("a2")
-        return self.determinant.subs({v: a1 * p[k] + a2 * q[k] for k, v in enumerate("xyz")})
+        """The determinant at a1 p + a2 q: a binary quartic in a1, a2 for net points p, q.
+
+        Each term c x^e0 y^e1 z^e2 of the cached determinant is multiplied
+        out, one linear form p_k a1 + q_k a2 at a time, as a list whose
+        entry i is the coefficient of a1^(e-i) a2^i.  The coefficients are
+        scaled to integers over one denominator, so on int points of an
+        int net all of it is integer arithmetic.  The result is the Poly
+        that substituting the forms into the determinant gives, with scope
+        {a1, a2}.
+        """
+        terms = self.determinant.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        forms = dict(zip("xyz", zip(p, q)))
+        acc = [0] * 5
+        for mono, c in terms.items():
+            f = [c.numerator * (scale // c.denominator)]
+            for name, e in mono:
+                a, b = forms[name]
+                for _ in range(e):
+                    f = [a * u + b * v for u, v in zip(f + [0], [0] + f)]
+            for i, s in enumerate(f):
+                acc[i] += s
+        return Poly({tuple((v, e) for v, e in (("a1", 4 - i), ("a2", i)) if e): Fraction(s, scale)
+                     for i, s in enumerate(acc)}, ("a1", "a2"))
 
 
 class Octad:
@@ -149,7 +180,7 @@ class Octad:
     def __init__(self, points: Sequence, net: Optional[QuadricNet] = None):
         self._init(tuple(normalize_point(p) for p in points), net)
 
-    def _init(self, pts: Tuple[Tuple[Fraction, ...], ...], net):
+    def _init(self, pts: Tuple[Tuple[int, ...], ...], net):
         if len(pts) != 8:
             raise OctadError("an octad has eight points")
         for a, b in itertools.combinations(range(8), 2):
@@ -163,7 +194,7 @@ class Octad:
         self.points = pts
         self.net = net
 
-    def point(self, label: int) -> Tuple[Fraction, ...]:
+    def point(self, label: int) -> Tuple[int, ...]:
         if not 1 <= label <= 8:
             raise OctadError("octad labels run from 1 to 8")
         return self.points[label - 1]
@@ -198,14 +229,14 @@ class PencilFiber:
 @record
 class BitangentCertificate:
     pair: Tuple[int, int]
-    line: Tuple[Fraction, Fraction, Fraction]
+    line: Tuple[int, int, int]
     restriction: Poly
     square_root: Poly
 
 
 @record
 class GaleReport:
-    points: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    points: Tuple[Tuple[int, int, int], ...]
     collinear_triples: Tuple[Tuple[int, int, int], ...]
     conic_six_tuples: Tuple[Tuple[int, ...], ...]
     ok: bool
@@ -581,7 +612,7 @@ def gale_transform(octad: Octad, forms: Optional[Sequence[Sequence[Fraction]]] =
     return GaleReport(tuple(images), tuple(collinear), tuple(conic_bad), ok)
 
 
-def steinerian_point(net: QuadricNet, q) -> Tuple[Fraction, ...]:
+def steinerian_point(net: QuadricNet, q) -> Tuple[int, ...]:
     """Kernel generator of M(q) for q on the Hessian quartic, rank 3."""
     coords = point_coordinates(q, "P2")
     m = net.matrix_at(coords)

@@ -415,29 +415,43 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
+def _subtract_terms(rem: Dict[Mono, Fraction], terms) -> None:
+    """rem -= terms, in place: ``terms`` are (monomial, nonzero coefficient) pairs."""
+    for mono, v in terms:
+        if s := rem.get(mono, 0) - v:
+            rem[mono] = s
+        else:
+            del rem[mono]
+
+
 def _divide(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
     """(quotient, remainder) of long division of p by a nonzero d under graded-lex.
 
-    The division stops at the first remainder whose leading term LT(d)
-    does not divide.  Leading monomials are multiplicative, so d divides
-    p exactly when that remainder is zero; for p and d in one variable it
-    is the remainder of Euclidean division.
+    The remainder is one dict, updated in place: each quotient term
+    removes the remainder's leading term and subtracts its product with
+    the rest of d term by term, and each monomial's graded-lex key is
+    computed once.  The division stops at the first remainder whose
+    leading term LT(d) does not divide.  Leading monomials are
+    multiplicative, so d divides p exactly when that remainder is zero;
+    for p and d in one variable it is the remainder of Euclidean division.
     """
-    varlist = sorted(p.variables | d.variables)
+    variables = p.variables | d.variables
+    varlist = sorted(variables)
     keys: Dict[Mono, Tuple] = {}  # remainders repeat monomials: order each one once
     key = lambda m: keys.get(m) or keys.setdefault(m, _mono_key(m, varlist))
     lead_d = max(d.terms, key=key)
     cd = d.terms[lead_d]
+    tail = [(m, c) for m, c in d.terms.items() if m != lead_d]
     quotient: Dict[Mono, Fraction] = {}
-    rem = p
-    while rem.terms:
-        lead_r = max(rem.terms, key=key)
+    rem = dict(p.terms)
+    while rem:
+        lead_r = max(rem, key=key)
         m = _mono_div(lead_r, lead_d)
         if m is None:
             break
-        c = quotient[m] = rem.terms[lead_r] / cd
-        rem = rem + Poly._make({m: -c}, rem.variables) * d
-    return Poly._make(quotient, p.variables | d.variables), rem
+        c = quotient[m] = rem.pop(lead_r) / cd
+        _subtract_terms(rem, [(_mono_mul(m, mono), c * v) for mono, v in tail])
+    return Poly._make(quotient, variables), Poly._make(rem, variables)
 
 
 def exact_divide(p: Poly, d: Poly) -> Poly:
@@ -804,35 +818,41 @@ def rational_sqrt(c: Fraction) -> Optional[Fraction]:
 def is_perfect_square(p: Poly) -> Optional[Poly]:
     """Return q with q*q == p when p is a square of a polynomial, else None.
 
-    Leading-term square-root extraction under graded-lex; the final
-    verification is by squaring, so a returned witness is always exact.
+    Leading-term square-root extraction under graded-lex.  The remainder
+    p - q*q is one dict: each new root term t subtracts 2*q*t + t*t from
+    it in place, and the loop gives up when the remainder's leading term
+    does not fall or is not divisible by the root's.  The final
+    verification is one squaring, so a returned witness is always exact.
     """
     if p.is_zero():
         return Poly.zero()
     varlist = sorted(p.variables)
-    lead_m, lead_c = max(((m, c) for m, c in p.terms.items()),
-                         key=lambda mc: _mono_key(mc[0], varlist))
+    key = lambda m: _mono_key(m, varlist)
+    lead_m = max(p.terms, key=key)
     if any(e % 2 for _, e in lead_m):
         return None
-    root_c = rational_sqrt(lead_c)
+    root_c = rational_sqrt(p.terms[lead_m])
     if root_c is None:
         return None
     half = tuple((name, e // 2) for name, e in lead_m)
-    q = Poly({half: root_c})
-    rem = p - q * q
-    prev_key = _mono_key(lead_m, varlist)
-    while rem.terms:
-        m = max(rem.terms, key=lambda mm: _mono_key(mm, varlist))
-        key = _mono_key(m, varlist)
-        if key >= prev_key:
+    root = {half: root_c}
+    rem = dict(p.terms)
+    del rem[lead_m]
+    prev_key = key(lead_m)
+    while rem:
+        m = max(rem, key=key)
+        if key(m) >= prev_key:
             return None
-        prev_key = key
+        prev_key = key(m)
         t_mono = _mono_div(m, half)
         if t_mono is None:
             return None
-        t = Poly({t_mono: rem.terms[m] / (2 * root_c)})
-        q = q + t
-        rem = p - q * q
+        c = rem[m] / (2 * root_c)
+        products = [(_mono_mul(r, t_mono), 2 * rc * c) for r, rc in root.items()]
+        products.append((_mono_mul(t_mono, t_mono), c * c))
+        _subtract_terms(rem, products)
+        root[t_mono] = c
+    q = Poly._make(root, p.variables)
     if q * q != p:  # pragma: no cover - construction guarantees this
         return None
     return q
@@ -1045,18 +1065,14 @@ def congruence(m: Sequence[Sequence[Fraction]], s: Sequence[Sequence[Fraction]])
     return [[sum(s[k][i] * ms[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def clear_denominators(vec: Sequence[Fraction]):
-    """Scale to primitive integer entries, first nonzero entry positive."""
-    fracs = [Fraction(v) for v in vec]
-    denoms = [f.denominator for f in fracs]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+def clear_denominators(vec: Sequence[Fraction]) -> list:
+    """Scale to primitive ints, first nonzero entry positive.
+
+    The entries are ints or Fractions; the result is a list of ints.
+    """
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    g = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints] if g not in (0, 1) else ints

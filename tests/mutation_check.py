@@ -62,11 +62,15 @@ MUTANTS = (
     ("_integer_rows: row scales not multiplied", POLYCORE,
      "        scale *= row_scale\n", "", ("test_polycore.py", "test_oracles.py")),
     ("_divide: remainder doubled", POLYCORE,
-     "return Poly._make(quotient, p.variables | d.variables), rem",
-     "return Poly._make(quotient, p.variables | d.variables), rem * 2",
+     "Poly._make(rem, variables)", "Poly._make(rem, variables) * 2",
+     ("test_polycore.py", "test_oracles.py")),
+    ("_divide: divisor's tail added to the remainder", POLYCORE,
+     "(_mono_mul(m, mono), c * v)", "(_mono_mul(m, mono), -c * v)",
      ("test_polycore.py", "test_oracles.py")),
     ("is_perfect_square: root term not halved", POLYCORE,
-     "rem.terms[m] / (2 * root_c)", "rem.terms[m] / root_c",
+     "rem[m] / (2 * root_c)", "rem[m] / root_c", ("test_polycore.py", "test_octad.py")),
+    ("is_perfect_square: t*t not subtracted", POLYCORE,
+     "        products.append((_mono_mul(t_mono, t_mono), c * c))\n", "",
      ("test_polycore.py", "test_octad.py")),
     ("rational_roots: each root taken once", POLYCORE,
      "while len(current) > 1 and _dense_eval(current, r) == 0:",
@@ -83,6 +87,16 @@ MUTANTS = (
      ("test_octad.py", "test_correspondence.py")),
     ("eighth_point: verdict ignores smoothness", OCTAD,
      "dimension == 3 and smooth", "dimension == 3", ("test_octad.py",)),
+    # the integer sweep: QuadricNet's entries and determinant_on_line
+    ("QuadricNet: every entry taken as its numerator", OCTAD,
+     "f.numerator if (f := Fraction(v)).denominator == 1 else f",
+     "(f := Fraction(v)).numerator", ("test_octad.py", "test_oracles.py")),
+    ("determinant_on_line: the * b update dropped", OCTAD,
+     "[a * u + b * v for u, v in", "[a * u + v for u, v in",
+     ("test_octad.py", "test_oracles.py")),
+    ("determinant_on_line: p and q swapped", OCTAD,
+     'forms = dict(zip("xyz", zip(p, q)))', 'forms = dict(zip("xyz", zip(q, p)))',
+     ("test_octad.py", "test_oracles.py")),
 )
 
 

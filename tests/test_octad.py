@@ -516,3 +516,63 @@ class TestOctadType:
         assert standard_octad.point(1) == (F(1), F(0), F(0), F(0))
         with pytest.raises(OctadError):
             standard_octad.point(9)
+
+
+def scalars_in(value):
+    """Every scalar reachable from a result: records, nets, octads, Polys and containers."""
+    if isinstance(value, Poly):
+        yield from value.terms.values()
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from scalars_in(item)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from scalars_in(item)
+    elif hasattr(value, "__dict__"):
+        yield from scalars_in(tuple(vars(value).values()))
+    else:
+        yield value
+
+
+class TestIntegerRepresentation:
+    """A heptad's net, octad and bitangent lines hold ints, and no result holds a float.
+
+    An int divided by ``/`` is a float, so a path that divides without a
+    Fraction on either side would print rounded values.
+    """
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_heptad_data_are_ints(self, index):
+        heptad = oracle_heptads()[index]
+        net = net_from_heptad(heptad)
+        assert {type(v) for m in net.matrices for row in m for v in row} == {int}
+        assert {type(v) for p in net.basepoints for v in p} == {int}
+        if not aronhold_check(heptad).verdict:
+            return
+        octad = eighth_point(net)
+        assert {type(v) for p in octad.points for v in p} == {int}
+        lines = [c.line for c in all_bitangents(octad, net)]
+        assert {type(v) for line in lines for v in line} == {int}
+
+    def test_rational_net_keeps_its_fractions(self):
+        generators = [[[F(1, 2) if i == j else 0 for j in range(4)] for i in range(4)],
+                      [[F(i + j, 3) for j in range(4)] for i in range(4)],
+                      [[int(i + j == 3) for j in range(4)] for i in range(4)]]
+        net = QuadricNet(generators)
+        assert net.matrices == tuple(tuple(tuple(row) for row in m) for m in generators)
+        assert {type(v) for m in net.matrices for row in m for v in row} == {int, F}
+        assert type(net.matrices[1][0][0]) is int and net.matrices[1][0][1] == F(1, 3)
+
+    @pytest.mark.parametrize("heptad", [STANDARD_HEPTAD, SEED1_HEPTADS[1]],
+                             ids=["standard", "seed1"])
+    def test_no_result_holds_a_float(self, heptad):
+        net = net_from_heptad(heptad)
+        octad = eighth_point(net)
+        results = [aronhold_check(heptad), octad, all_bitangents(octad, net),
+                   cremona_octad(octad, (1, 2, 3, 4)), cremona_octad(octad, (2, 5, 6, 8)),
+                   gale_transform(octad),
+                   pencil_fiber(net, (1, 2, 3), (0, 1, -1)),
+                   pencil_fiber(net, (F(1, 2), F(-2, 3), 1), (3, F(1, 5), 0))]
+        scalars = list(scalars_in(results))
+        assert not [v for v in scalars if isinstance(v, float)]
+        assert {type(v) for v in scalars} <= {int, F, bool, str, type(None)}

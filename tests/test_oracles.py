@@ -12,31 +12,40 @@ Macaulay quotient, which computes the same value by another matrix.
 The line section of a quartic and its covariants g4 and g6 are compared
 with SymPy's own expansion and division.  The univariate layer and exact
 division are compared with SymPy's gcd, ground roots, remainder,
-division and Sylvester resultant.
+reduction, division and Sylvester resultant.  The bitangent sweep's
+kernels are compared too: a net's determinant on a line with SymPy's
+expansion and with ``Poly.subs``, perfect squares with SymPy's
+factorization, and the polynomial Bareiss determinant of matrices of
+linear forms with cofactor expansion.
 """
 
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quartic_cones.covariants import QuarticCurve, covariants
+from quartic_cones.octad import QuadricNet, net_from_heptad
 from quartic_cones.polycore import (
     NotDivisibleError,
     Poly,
     PolyMatrix,
     det_fraction,
     exact_divide,
+    is_perfect_square,
     macaulay_quotient,
     macaulay_resultant_ternary,
     rational_roots,
     resultant_bivariate,
     univariate_gcd,
 )
+
+from conftest import SEED1_HEPTADS, STANDARD_HEPTAD
 
 
 def sympy_det(rows):
@@ -427,3 +436,139 @@ def test_resultant_bivariate_matches_sympy(p, q):
     assume(p.degree_in("x") > 0 and q.degree_in("x") > 0)
     expected = sympy.resultant(to_sympy(p), to_sympy(q), sympy.Symbol("x"))
     assert_same_poly(resultant_bivariate(p, q, "x"), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=univariate(6), d=univariate(3).filter(lambda d: len(d.terms) >= 2))
+@example(p=x ** 5 + 2 * x + 1, d=x ** 2 - x + 3)  # long division, nonzero remainder
+@example(p=(x ** 2 + 1) * (3 * x - F(1, 2)), d=3 * x - F(1, 2))  # divisible
+def test_not_divisible_remainder_matches_sympy_reduced(p, d):
+    # the divisors have two or more terms, so the long division runs
+    sympy = pytest.importorskip("sympy")
+    quo, rem = sympy.reduced(to_sympy(p), [to_sympy(d)], sympy.Symbol("x"))
+    if rem == 0:
+        assert_same_poly(exact_divide(p, d), quo[0])
+    else:
+        with pytest.raises(NotDivisibleError) as err:
+            exact_divide(p, d)
+        assert_same_poly(err.value.remainder, rem)
+
+
+# ---------------------------------------------------------------------------
+# The bitangent sweep's kernels
+
+
+Z = Poly.var("z")
+LINEAR_FORMS = st.tuples(*[st.integers(-4, 4)] * 3).map(
+    lambda c: c[0] * x + c[1] * y + c[2] * Z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(LINEAR_FORMS, min_size=4, max_size=4), min_size=4, max_size=4))
+@example([list(row) for row in net_from_heptad(STANDARD_HEPTAD).symbol_matrix().entries])
+@example([[x, y, Z, x + y]] * 2 + [[y, Z, x, 2 * x], [Z, x, y, y - Z]])  # singular
+def test_det_bareiss_matches_cofactors_on_linear_forms(rows):
+    # the exact divisions of the 4 x 4 net determinant are by linear and
+    # quadratic forms of several terms
+    m = PolyMatrix(rows)
+    assert m.det_bareiss() == m.det_cofactor()
+
+
+def _rational_generators():
+    """STANDARD_HEPTAD's generators mixed with non-integral rational weights."""
+    a, b, c = net_from_heptad(STANDARD_HEPTAD).matrices
+    weights = ((F(1, 2), F(2, 3), 0), (F(-5, 7), 1, F(1, 3)), (0, F(3, 4), F(-1, 6)))
+    return [[[u * a[i][j] + v * b[i][j] + w * c[i][j] for j in range(4)] for i in range(4)]
+            for u, v, w in weights]
+
+
+# (generators, base points): three integer nets of heptads and one rational net
+SWEEP_NETS = [(net_from_heptad(h).matrices, h)
+              for h in (STANDARD_HEPTAD, SEED1_HEPTADS[1], SEED1_HEPTADS[2])]
+SWEEP_NETS.append((_rational_generators(), STANDARD_HEPTAD))
+
+
+@lru_cache(maxsize=None)
+def sympy_net_determinant(index):
+    """det(x A0 + y A1 + z A2) by SymPy, from the generators the net was given."""
+    sympy = pytest.importorskip("sympy")
+    X, Y, Zs = sympy.symbols("x y z")
+    gens = [[[sympy.Rational(F(v).numerator, F(v).denominator) for v in row] for row in m]
+            for m in SWEEP_NETS[index][0]]
+    return sympy.Matrix(4, 4, lambda i, j: X * gens[0][i][j] + Y * gens[1][i][j]
+                        + Zs * gens[2][i][j]).det()
+
+
+NET_POINT_COORDINATES = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.sampled_from(range(len(SWEEP_NETS))),
+       p=st.tuples(*[NET_POINT_COORDINATES] * 3), q=st.tuples(*[NET_POINT_COORDINATES] * 3))
+@example(index=0, p=(1, 0, 0), q=(0, 1, 0))
+@example(index=3, p=(F(1, 2), -3, F(2, 5)), q=(0, F(-4, 3), 1))  # rational net and points
+def test_determinant_on_line_matches_subs_and_sympy(index, p, q):
+    sympy = pytest.importorskip("sympy")
+    generators, heptad = SWEEP_NETS[index]
+    net = QuadricNet(generators, basepoints=heptad)
+    got = net.determinant_on_line(p, q)
+    a1, a2 = Poly.var("a1"), Poly.var("a2")
+    old = net.determinant.subs({v: a1 * p[k] + a2 * q[k] for k, v in enumerate("xyz")})
+    assert got == old and got.variables == old.variables == {"a1", "a2"}
+    A1, A2 = sympy.symbols("a1 a2")
+    on_line = sympy_net_determinant(index).subs(
+        {sympy.Symbol(v): A1 * sympy.Rational(p[k]) + A2 * sympy.Rational(q[k])
+         for k, v in enumerate("xyz")}, simultaneous=True)
+    assert_same_poly(got, sympy.expand(on_line))
+
+
+def sympy_is_square(p):
+    """Whether p is the square of a rational polynomial, by SymPy's factorization."""
+    sympy = pytest.importorskip("sympy")
+    if p.is_zero():
+        return True
+    coeff, factors = sympy.factor_list(to_sympy(p))
+    return bool(coeff > 0 and sympy.sqrt(coeff).is_rational
+                and all(e % 2 == 0 for _, e in factors))
+
+
+def small_polys(names):
+    """Polynomials of at most four terms in ``names``, exponents at most 2."""
+    scalar = st.one_of(st.integers(-5, 5),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(names)), scalar,
+                           max_size=4).map(lambda cs: poly_from(cs, names))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_is_perfect_square_matches_sympy(data):
+    names = "xyz"[:data.draw(st.integers(1, 3), label="variables")]
+    q = data.draw(small_polys(names), label="q")
+    t = data.draw(small_polys(names), label="t")
+    root = is_perfect_square(q * q)
+    assert root is not None and root in (q, -q)
+    if root:
+        assert root.sorted_terms()[0][1] > 0
+    p = q * q + t
+    got = is_perfect_square(p)
+    assert (got is not None) == sympy_is_square(p)
+    if got is not None:
+        assert got * got == p
+
+
+@pytest.mark.parametrize("p, square", [
+    ((x + y) ** 2 + x * y, False),  # x^2 + 3xy + y^2
+    ((x + 1) ** 2 + 2 * x + 3, True),  # (x + 2)^2
+    ((x - F(1, 2) * y * Z) ** 2 + Poly.const(1), False),
+    (4 * (x * y - Z + F(2, 3)) ** 2, True),
+    (-(x ** 2), False),
+    (2 * x ** 2, False),
+])
+def test_is_perfect_square_pinned_against_sympy(p, square):
+    assert sympy_is_square(p) is square
+    got = is_perfect_square(p)
+    assert (got is not None) is square
+    if square:
+        assert got * got == p
