@@ -54,6 +54,8 @@ FILES = {
                          " - 2*y^2*z^2 + 5/6*y*z^3 - z^4)\n"),
     "two-parameter-pencil.txt": ("x^4 + y^4 + z^4 + a*(x^2*y^2 - 3*x*y*z^2 + 1/2*y^3*z)\n"
                                  "+ b*(2/3*x^3*z - y^2*z^2 + 5/4*x*y^3 - x*y*z^2 + 1/3*z^4)\n"),
+    # a parameter that cancels: the input is parametric although no term holds a
+    "cancelled-parameter.txt": "x^4 + y^4 + z^4 + a*x^2*y^2 - a*x^2*y^2\n",
     "commented.txt": "# Klein quartic\nx^3*y + y^3*z  # two terms\n+ z^3*x\n",
     "cubic.txt": "x^3\n",
     "fourth-power.txt": "x^4\n",
@@ -85,6 +87,7 @@ def commands() -> list:
         ["covariants", "pencil.txt"],
         ["covariants", "dense-pencil.txt"],
         ["covariants", "two-parameter-pencil.txt"],
+        ["covariants", "cancelled-parameter.txt"],
         ["j", "fermat.txt", "--point", "1,2,3"],
         ["j", "fermat.txt", "--point", "1,1,1"],
         ["j", "klein.txt", "--point", "0,0,1"],
@@ -125,6 +128,7 @@ def commands() -> list:
         ["j", "fermat.txt", "--point", "1,2"],
         ["j", "fermat.txt", "--point", "1,x,2"],
         ["j", "pencil.txt", "--point", "1,2,3"],
+        ["j", "cancelled-parameter.txt", "--point", "1,2,3"],
         ["j", "fermat.txt"],
         ["octad", "check", "short.txt"],
         ["octad", "check", "badpoint.txt"],
