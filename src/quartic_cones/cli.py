@@ -71,6 +71,11 @@ def _read(path: str) -> str:
 
 
 def _load_quartic(path: str):
+    """(curve, text, parameters): the parameters are the identifiers other than x, y, z.
+
+    They are read from the text, so a parameter whose terms cancel still
+    makes the input parametric.
+    """
     from . import covariants as cov
     from .polyio import parse_poly, scan_identifiers
 
@@ -78,8 +83,7 @@ def _load_quartic(path: str):
     idents = scan_identifiers(text)
     declared = tuple(dict.fromkeys(("x", "y", "z") + idents))
     poly = parse_poly(text, declared)
-    curve = cov.QuarticCurve(poly)
-    return curve, text
+    return cov.QuarticCurve(poly), text, sorted(set(declared) - {"x", "y", "z"})
 
 
 def _load_points(path: str, count_options) -> list:
@@ -92,10 +96,9 @@ def _load_points(path: str, count_options) -> list:
     return points
 
 
-def _smoothness_report(curve) -> dict:
-    if curve.parameters:
-        return {"status": "not_evaluated_parametric",
-                "parameters": sorted(curve.parameters)}
+def _smoothness_report(curve, parameters) -> dict:
+    if parameters:
+        return {"status": "not_evaluated_parametric", "parameters": parameters}
     from .polycore import macaulay_resultant_ternary
 
     res = macaulay_resultant_ternary(curve.poly.partial("x"), curve.poly.partial("y"),
@@ -108,7 +111,7 @@ def cmd_covariants(args) -> dict:
     from . import covariants as cov
     from .polyio import print_poly
 
-    curve, text = _load_quartic(args.quartic)
+    curve, text, parameters = _load_quartic(args.quartic)
     pair = cov.covariants(curve)
     G = pair.dual.G
     if G.is_zero():
@@ -124,9 +127,8 @@ def cmd_covariants(args) -> dict:
         "g6": print_poly(pair.g6),
         "cone": print_poly(pair.cone.F),
         "dual_curve": print_poly(G),
-        "dual_degree": G.homogeneous_degree(
-            {**{v: 0 for v in G.variables}, "s": 1, "t": 1, "u": 1}),
-        "input_smoothness": _smoothness_report(curve),
+        "dual_degree": G.homogeneous_degree({"s": 1, "t": 1, "u": 1}),
+        "input_smoothness": _smoothness_report(curve, parameters),
     }
     return report
 
@@ -135,8 +137,8 @@ def cmd_j(args) -> dict:
     from . import covariants as cov
     from .polyio import parse_point
 
-    curve, text = _load_quartic(args.quartic)
-    if curve.parameters:
+    curve, text, parameters = _load_quartic(args.quartic)
+    if parameters:
         raise InputError("j evaluation needs a parameter-free quartic")
     point = parse_point(args.point, "P2")
     pair = cov.covariants(curve)

@@ -58,10 +58,7 @@ class ConeEquation:
     def __init__(self, pair: CovariantPair):
         v, w = Poly.var("v"), Poly.var("w")
         F = -(w ** 2) + v ** 3 - pair.g4 * v + pair.g6
-        F = Poly(F.terms, F.variables | set(COORDS))
-        weights = {name: 0 for name in F.variables}
-        weights.update(WEIGHTS)
-        if F.weighted_degrees(weights) != {6}:
+        if F.weighted_degrees(WEIGHTS) != {6}:
             raise ConeError("cone equation is not weighted-homogeneous of degree 6")
         self.partials = {name: F.partial(name) for name in COORDS}
         euler = Poly.zero()
@@ -309,8 +306,7 @@ def s4_family(lam) -> S4FamilyData:
                     raise ConeError("plane is not contained in the cone")  # pragma: no cover
             W = v ** 2 + v * (mu * sq - r ** 2) + mu ** 2 * sq ** 2 - pair.g4 \
                 + mu * r ** 2 * sq - 2 * gamma * r * s * t * u
-            w_weights = {"s": 1, "t": 1, "u": 1, "r": 1, "v": 2}
-            if W.weighted_degrees({**{n: 0 for n in W.variables}, **w_weights}) != {4}:
+            if W.weighted_degrees({"s": 1, "t": 1, "u": 1, "r": 1, "v": 2}) != {4}:
                 raise ConeError("W is not weighted-homogeneous of degree 4")  # pragma: no cover
 
     return S4FamilyData(lam_value, mu, gamma, curve, pair, cone, branch,

@@ -70,9 +70,7 @@ class QuarticCurve:
     """
 
     def __init__(self, poly: Poly):
-        weights = {v: 0 for v in poly.variables}
-        weights.update({v: 1 for v in XYZ})
-        if poly.is_zero() or poly.weighted_degrees(weights) != {4}:
+        if poly.is_zero() or poly.weighted_degrees({v: 1 for v in XYZ}) != {4}:
             raise HomogeneityError("quartic must be homogeneous of degree 4 in x, y, z")
         self.poly = poly
         self._coeffs = coefficients_multi(poly, XYZ)
@@ -84,6 +82,7 @@ class QuarticCurve:
 
     @property
     def parameters(self) -> frozenset:
+        """The parameters that occur in the terms: every variable but x, y, z."""
         return self.poly.variables - set(XYZ)
 
     @cached_property
@@ -192,9 +191,7 @@ def binary_invariants(b: Sequence) -> Tuple:
 def covariants(curve: QuarticCurve) -> CovariantPair:
     """The degree-4 and degree-6 covariants: h2 = u^4 g4, h3 = u^6 g6."""
     h2, h3 = binary_invariants(tuple(curve.restriction))
-    # u declares s and t too, so g4 and g6 keep the scope of forms in s, t, u
-    # even when they vanish or miss a variable
-    u = Poly(Poly.var("u").terms, STU)
+    u = Poly.var("u")
     return CovariantPair(exact_divide(h2, u ** 4), exact_divide(h3, u ** 6))
 
 

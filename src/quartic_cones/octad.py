@@ -155,8 +155,7 @@ class QuadricNet:
         entry i is the coefficient of a1^(e-i) a2^i.  The coefficients are
         scaled to integers over one denominator, so on int points of an
         int net all of it is integer arithmetic.  The result is the Poly
-        that substituting the forms into the determinant gives, with scope
-        {a1, a2}.
+        that substituting the forms into the determinant gives.
         """
         terms = self.determinant.terms
         scale = lcm(*(c.denominator for c in terms.values()))
@@ -171,7 +170,7 @@ class QuadricNet:
             for i, s in enumerate(f):
                 acc[i] += s
         return Poly({tuple((v, e) for v, e in (("a1", 4 - i), ("a2", i)) if e): Fraction(s, scale)
-                     for i, s in enumerate(acc)}, ("a1", "a2"))
+                     for i, s in enumerate(acc)})
 
 
 class Octad:

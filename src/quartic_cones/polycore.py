@@ -3,19 +3,21 @@
 A polynomial is a dictionary mapping monomials to nonzero Fraction
 coefficients.  A monomial is a sorted tuple of (variable, exponent) pairs
 with all exponents positive, so equal polynomials always have identical
-term dictionaries.  Term order, where one is needed (leading terms,
+term dictionaries.  A polynomial is nothing but its terms: its variables
+are the names that occur in them, so the zero polynomial has none, a
+derivative in an absent variable is zero and substituting for one
+changes nothing.  Term order, where one is needed (leading terms,
 printing, division), is graded lexicographic with variables compared
 alphabetically.
 
-The public constructor ``Poly(terms, variables)`` validates what it is
-given: it wraps every coefficient as a Fraction, drops zeros and adds the
-variables of the terms to the scope.  Ring operations whose results are
-clean by construction (sums, negation, products, scalar division,
-derivatives, substitution, exact quotients) build them through the
-trusted ``Poly._make``, which checks and copies nothing.
+The public constructor ``Poly(terms)`` validates what it is given: it
+wraps every coefficient as a Fraction and drops zeros.  Ring operations
+whose results are clean by construction (sums, negation, products,
+scalar division, derivatives, substitution, exact quotients) build them
+through the trusted ``Poly._make``, which checks and copies nothing.
 
 Products pack exponents only for the duration of one multiplication
-(Monagan and Pearce 2007).  Each variable of the sorted scope gets a bit
+(Monagan and Pearce 2007).  Each variable of the operands' terms gets a bit
 field wide enough for the sum of the operands' total degrees, so every
 monomial becomes one int and a monomial product is one int addition that
 never carries.  Coefficients become integer numerators over one common
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[str, int], ...]
 
@@ -64,7 +66,7 @@ class PolyError(Exception):
 
 
 class ScopeError(PolyError):
-    """A variable is not in scope for the requested operation."""
+    """The terms hold a variable the operation cannot take: one left unbound, or a second one."""
 
 
 class NotDivisibleError(PolyError):
@@ -131,50 +133,45 @@ def _mono_key(m: Mono, varlist: Sequence[str]) -> Tuple:
 class Poly:
     """Sparse exact-rational multivariate polynomial.
 
-    ``terms`` maps monomials to nonzero coefficients; the zero polynomial
-    has an empty term map.  ``variables`` is the scope: every variable
-    appearing in a term plus any explicitly declared ones (a parser may
-    declare variables that end up unused).  Scope participates in scope
-    checks only; equality and hashing are purely semantic.
+    ``terms`` maps monomials to nonzero coefficients and is the whole
+    value; the zero polynomial has an empty term map.  Equality and
+    hashing compare terms.
     """
 
-    __slots__ = ("terms", "variables")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None,
-                 variables: Iterable[str] = ()):
+    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
         clean: Dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = Fraction(coeff)
                 if c != 0:
                     clean[mono] = c
-        scope = set(variables)
-        for mono in clean:
-            for name, _ in mono:
-                scope.add(name)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "variables", frozenset(scope))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
         # the setattr guard breaks pickle's default slot restore
-        return (Poly, (self.terms, tuple(self.variables)))
+        return (Poly, (self.terms,))
+
+    @property
+    def variables(self) -> frozenset:
+        """The names that occur in the terms."""
+        return frozenset(name for mono in self.terms for name, _ in mono)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _make(terms: Dict[Mono, Fraction], variables: frozenset) -> "Poly":
+    def _make(terms: Dict[Mono, Fraction]) -> "Poly":
         """Trusted constructor for results that are clean by construction.
 
-        ``terms`` must map canonical monomials to nonzero Fractions and
-        ``variables`` must be a frozenset covering every variable in them;
+        ``terms`` must map canonical monomials to nonzero Fractions;
         nothing is copied or checked.
         """
         p = object.__new__(Poly)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "variables", variables)
         return p
 
     @staticmethod
@@ -215,9 +212,7 @@ class Poly:
             degs.add(sum(weights.get(name, 0) * e for name, e in m))
         return degs
 
-    def homogeneous_degree(self, weights: Mapping[str, int] | None = None) -> int:
-        if weights is None:
-            weights = {v: 1 for v in self.variables}
+    def homogeneous_degree(self, weights: Mapping[str, int]) -> int:
         degs = self.weighted_degrees(weights)
         if len(degs) != 1:
             raise HomogeneityError(f"not homogeneous for weights {dict(weights)}")
@@ -244,12 +239,12 @@ class Poly:
                 out[mono] = s
             else:
                 del out[mono]
-        return Poly._make(out, self.variables | q.variables)
+        return Poly._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make({m: -c for m, c in self.terms.items()}, self.variables)
+        return Poly._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         q = Poly._coerce(other)
@@ -264,17 +259,17 @@ class Poly:
         q = Poly._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        variables = self.variables | q.variables
         if len(self.terms) <= 1 or len(q.terms) <= 1:
             # distinct monomials give distinct products: nothing to collect
             return Poly._make({_mono_mul(m1, m2): c1 * c2
                                for m1, c1 in self.terms.items()
-                               for m2, c2 in q.terms.items()}, variables)
+                               for m2, c2 in q.terms.items()})
         # packed exponents: a field of this width holds any exponent of the
         # product, so adding two keys multiplies their monomials
         width = (max(map(_mono_degree, self.terms))
                  + max(map(_mono_degree, q.terms))).bit_length()
-        fields = [(name, i * width) for i, name in enumerate(sorted(variables))]
+        fields = [(name, i * width)
+                  for i, name in enumerate(sorted(self.variables | q.variables))]
         shifts = dict(fields)
         d1, a = _packed_terms(self.terms, shifts)
         d2, b = _packed_terms(q.terms, shifts)
@@ -286,7 +281,7 @@ class Poly:
         d = d1 * d2
         mask = (1 << width) - 1
         return Poly._make({tuple((name, e) for name, s in fields if (e := k >> s & mask)):
-                           Fraction(n, d) for k, n in acc.items() if n}, variables)
+                           Fraction(n, d) for k, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -295,7 +290,7 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division of Poly by zero scalar")
-            return Poly._make({m: v / c for m, v in self.terms.items()}, self.variables)
+            return Poly._make({m: v / c for m, v in self.terms.items()})
         return NotImplemented
 
     def __floordiv__(self, other):
@@ -343,9 +338,7 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def partial(self, var: str) -> "Poly":
-        """Exact formal derivative with respect to ``var``."""
-        if var not in self.variables:
-            raise ScopeError(f"variable {var!r} not in scope {sorted(self.variables)}")
+        """Exact formal derivative with respect to ``var``; zero when no term holds ``var``."""
         out: Dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
@@ -355,13 +348,13 @@ class Poly:
                     exps[var] = e - 1
                 # distinct monomials keep distinct derivatives: no collisions
                 out[tuple(sorted(exps.items()))] = coeff * e
-        return Poly._make(out, self.variables)
+        return Poly._make(out)
 
     def subs(self, bindings: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
-        """Substitute polynomials (or scalars) for variables, exactly."""
-        for var in bindings:
-            if var not in self.variables:
-                raise ScopeError(f"variable {var!r} not in scope {sorted(self.variables)}")
+        """Substitute polynomials (or scalars) for variables, exactly.
+
+        A bound variable that occurs in no term changes nothing.
+        """
         coerced = {v: (p if isinstance(p, Poly) else Poly.const(p))
                    for v, p in bindings.items()}
         result = Poly.zero()
@@ -377,8 +370,7 @@ class Poly:
                 else:
                     term = term * Poly({((name, e),): Fraction(1)})
             result = result + term
-        keep = self.variables - set(bindings)
-        return Poly._make(result.terms, result.variables | keep)
+        return result
 
     def eval_at(self, bindings: Mapping[str, Fraction | int]) -> Fraction:
         """Full evaluation; every variable appearing in a term must be bound."""
@@ -435,8 +427,7 @@ def _divide(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
     multiplicative, so d divides p exactly when that remainder is zero;
     for p and d in one variable it is the remainder of Euclidean division.
     """
-    variables = p.variables | d.variables
-    varlist = sorted(variables)
+    varlist = sorted(p.variables | d.variables)
     keys: Dict[Mono, Tuple] = {}  # remainders repeat monomials: order each one once
     key = lambda m: keys.get(m) or keys.setdefault(m, _mono_key(m, varlist))
     lead_d = max(d.terms, key=key)
@@ -451,7 +442,7 @@ def _divide(p: Poly, d: Poly) -> Tuple[Poly, Poly]:
             break
         c = quotient[m] = rem.pop(lead_r) / cd
         _subtract_terms(rem, [(_mono_mul(m, mono), c * v) for mono, v in tail])
-    return Poly._make(quotient, variables), Poly._make(rem, variables)
+    return Poly._make(quotient), Poly._make(rem)
 
 
 def exact_divide(p: Poly, d: Poly) -> Poly:
@@ -467,7 +458,7 @@ def exact_divide(p: Poly, d: Poly) -> Poly:
         (lead_d, cd), = d.terms.items()
         quotient = {_mono_div(m, lead_d): c / cd for m, c in p.terms.items()}
         if None not in quotient:
-            return Poly._make(quotient, p.variables | d.variables)
+            return Poly._make(quotient)
     quotient, rem = _divide(p, d)
     if rem:
         raise NotDivisibleError(rem)
@@ -779,7 +770,7 @@ def macaulay_resultant_ternary(f1: Poly, f2: Poly, f3: Poly) -> Fraction:
     degs = []
     for f in forms:
         extra = f.variables - set(vs)
-        if any(f.degree_in(v) > 0 for v in extra):
+        if extra:
             raise PolyError(f"coefficients must be rational; stray variables {sorted(extra)}")
         if f:
             degs.append(f.homogeneous_degree({v: 1 for v in vs}))
@@ -852,7 +843,7 @@ def is_perfect_square(p: Poly) -> Optional[Poly]:
         products.append((_mono_mul(t_mono, t_mono), c * c))
         _subtract_terms(rem, products)
         root[t_mono] = c
-    q = Poly._make(root, p.variables)
+    q = Poly._make(root)
     if q * q != p:  # pragma: no cover - construction guarantees this
         return None
     return q
@@ -864,7 +855,7 @@ def is_perfect_square(p: Poly) -> Optional[Poly]:
 
 def _univariate(p: Poly, var: str) -> Poly:
     """p itself, or ScopeError when a variable other than ``var`` occurs in its terms."""
-    extra = {name for m in p.terms for name, _ in m} - {var}
+    extra = p.variables - {var}
     if extra:
         raise ScopeError(f"polynomial is not univariate in {var!r}: {sorted(extra)}")
     return p

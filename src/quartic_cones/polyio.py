@@ -32,7 +32,7 @@ from .polycore import Poly, format_poly
 
 
 class ParseError(Exception):
-    """Syntax or scope error with the offending position (0-based offset)."""
+    """A syntax error or an undeclared identifier, with its position (0-based offset)."""
 
     def __init__(self, message: str, text: str, pos: int):
         line = text.count("\n", 0, pos) + 1
@@ -119,7 +119,7 @@ class _Parser:
         kind, value, pos = self.tokens.peek()
         if kind != "eof":
             self.fail(f"unexpected {value!r}", pos)
-        return Poly(p.terms, p.variables | self.declared)
+        return p
 
     def expr(self) -> Poly:
         p = self.term()
@@ -198,11 +198,13 @@ def _degree(p: Poly) -> int:
 
 
 def parse_poly(src: str, declared_variables: Iterable[str] = ()) -> Poly:
-    """Parse an expression into an exact Poly over the declared variables.
+    """Parse an expression in the declared variables into an exact Poly.
 
-    Undeclared identifiers, malformed syntax, non-natural exponents, and
-    products or powers past ``MAX_DEGREE`` or ``MAX_POWER_BITS`` raise
-    ParseError with position information.
+    The Poly is its terms, so a declared variable that occurs in no term,
+    or whose terms cancel, is not among its variables.  Undeclared
+    identifiers, malformed syntax, non-natural exponents, and products or
+    powers past ``MAX_DEGREE`` or ``MAX_POWER_BITS`` raise ParseError with
+    position information.
     """
     return _Parser(src, declared_variables).parse()
 

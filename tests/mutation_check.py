@@ -31,6 +31,7 @@ TESTS = os.path.join(ROOT, "tests")
 POLYCORE = "quartic_cones/polycore.py"
 OCTAD = "quartic_cones/octad.py"
 COVARIANTS = "quartic_cones/covariants.py"
+CLI = "quartic_cones/cli.py"
 
 RESULTANT_TESTS = ("test_polycore.py", "test_oracles.py", "test_cli_corpus.py")
 
@@ -57,12 +58,15 @@ MUTANTS = (
      "for f in fs for e in _monomials_of_degree(vs, d - 2)]",
      "for f in fs for e in _monomials_of_degree(vs, d - 1)]", RESULTANT_TESTS),
     # the rest of the kernel
+    ("resultant: stray variables not rejected", POLYCORE,
+     "        if extra:\n            raise PolyError(f\"coefficients must be rational; "
+     "stray variables {sorted(extra)}\")\n", "", ("test_polycore.py",)),
     ("_bareiss: row swap keeps the sign", POLYCORE,
      "            sign = -sign\n", "", ("test_polycore.py", "test_oracles.py")),
     ("_integer_rows: row scales not multiplied", POLYCORE,
      "        scale *= row_scale\n", "", ("test_polycore.py", "test_oracles.py")),
     ("_divide: remainder doubled", POLYCORE,
-     "Poly._make(rem, variables)", "Poly._make(rem, variables) * 2",
+     "Poly._make(rem)", "Poly._make(rem) * 2",
      ("test_polycore.py", "test_oracles.py")),
     ("_divide: divisor's tail added to the remainder", POLYCORE,
      "(_mono_mul(m, mono), c * v)", "(_mono_mul(m, mono), -c * v)",
@@ -97,6 +101,11 @@ MUTANTS = (
     ("determinant_on_line: p and q swapped", OCTAD,
      'forms = dict(zip("xyz", zip(p, q)))', 'forms = dict(zip("xyz", zip(q, p)))',
      ("test_octad.py", "test_oracles.py")),
+    # the CLI's parametric verdict reads the input's identifiers, not the terms
+    ("_load_quartic: parameters read from the terms", CLI,
+     'return cov.QuarticCurve(poly), text, sorted(set(declared) - {"x", "y", "z"})',
+     'curve = cov.QuarticCurve(poly)\n    return curve, text, sorted(curve.parameters)',
+     ("test_cli_corpus.py",)),
 )
 
 

@@ -49,7 +49,7 @@ def random_quartic(rng, lo=-9, hi=9):
             if c:
                 terms[(("x", i), ("y", j), ("z", k))] = F(c)
     cleaned = {tuple((n, e) for n, e in mono if e): c for mono, c in terms.items()}
-    poly = Poly(cleaned, {"x", "y", "z"})
+    poly = Poly(cleaned)
     if poly.is_zero():
         poly = Poly.var("x") ** 4
     return QuarticCurve(poly)

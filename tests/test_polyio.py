@@ -58,10 +58,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("x^-2", "x")
 
-    @pytest.mark.parametrize("text", ["x^32", "x^16*y^16", "(x*y + 1)^16", "2^2048*x",
-                                      "(1/3)^2048", "0^100000", "(x^2 - x^2)^100"])
-    def test_caps_admit_their_bounds(self, text):
-        assert parse_poly(text, "xy").variables == {"x", "y"}
+    @pytest.mark.parametrize("text, variables", [
+        pytest.param(text, set(variables), id=text) for text, variables in (
+            ("x^32", "x"), ("x^16*y^16", "xy"), ("(x*y + 1)^16", "xy"), ("2^2048*x", "x"),
+            ("(1/3)^2048", ""), ("0^100000", ""), ("(x^2 - x^2)^100", ""))])
+    def test_caps_admit_their_bounds(self, text, variables):
+        # the variables are those of the terms: none when they cancel
+        assert parse_poly(text, "xy").variables == variables
 
     @pytest.mark.parametrize("text, pos", [
         ("x^33", 2),                 # the exponent
@@ -87,10 +90,6 @@ class TestParse:
     def test_multicharacter_names(self):
         p = parse_poly("a310*u^4", ["a310", "u"])
         assert p == Poly.var("a310") * Poly.var("u") ** 4
-
-    def test_declared_but_unused_stays_in_scope(self):
-        p = parse_poly("x", ("x", "y"))
-        assert "y" in p.variables
 
 
 class TestPrint:
