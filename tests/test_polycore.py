@@ -442,7 +442,7 @@ class TestRationalHelpers:
 
     def test_univariate_helpers_accept_a_scope_variable_of_degree_zero(self):
         p = (x - 1) * (x + 2) + y - y  # y cancels: no term holds it
-        assert univariate_gcd(p, x - 1 + z * y - y * z, "x") == x - 1
+        assert univariate_gcd(p, x - 1 + z - z, "x") == x - 1
         assert sorted(rational_roots(p, "x")) == [-2, 1]
 
 
@@ -621,17 +621,13 @@ def ref_subs(a, bindings):
     return total
 
 
-def term_variables(terms):
-    return {name for mono in terms for name, _ in mono}
-
-
 def assert_clean(p):
     """Every coefficient a nonzero Fraction, the variables those of the terms, rebuild equal."""
     assert type(p.variables) is frozenset
     for mono, c in p.terms.items():
         assert type(c) is F and c != 0
         assert all(e > 0 for _, e in mono) and list(mono) == sorted(mono)
-    assert p.variables == term_variables(p.terms)
+    assert p.variables == {name for mono in p.terms for name, _ in mono}
     rebuilt = Poly(dict(p.terms))
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
@@ -675,7 +671,6 @@ def test_ring_ops_match_fraction_reference(pair, n):
                              (F(2, 3) * p + 1, ref_add(ref_mul({(): F(2, 3)}, ra), {(): F(1)}))):
         assert_clean(result)
         assert result.terms == expected
-        assert result.variables == term_variables(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -760,12 +755,11 @@ def test_products_match_fraction_reference_at_field_boundaries(pair):
     for result, expected in ((p * q, ref_mul(ra, rb)), (q * p, ref_mul(rb, ra))):
         assert_clean(result)
         assert result.terms == expected
-        assert result.variables == term_variables(expected)
 
 
 class TestPickle:
     def test_ring_results_round_trip(self):
-        # built by the trusted constructor; the derivative loses its y
+        # built by the trusted constructor; only x is left in the derivative's terms
         p = (F(1, 2) * x * y - F(2, 3) * z ** 2 * (x + F(5, 7))).partial("y")
         zero = x * 0 + (y - y)
         assert p.variables == {"x"} and not p.is_constant()
