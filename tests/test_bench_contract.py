@@ -88,9 +88,9 @@ def test_scalar_products_reach_the_spanned_method():
 def test_pencil_run_keeps_its_product_and_construction_counts(capsys, tmp_path):
     """``covariants pencil.txt`` makes 187 products and 203 public constructions.
 
-    A Poly is its terms, so no step rebuilds one to restore variables
-    that its terms lack; the count fell from 206 when the parser's,
-    ``covariants``' and ``ConeEquation``'s rebuilds went.  A faster product kernel must neither hide products from the
+    A Poly is its terms, so no step (the parser, ``covariants``,
+    ``ConeEquation``) rebuilds one to restore variables that its terms
+    lack.  A faster product kernel must neither hide products from the
     ``Poly.mul`` span nor build its results through ``Poly.__init__``,
     which the tracer counts as ``Poly.constructed``.
     """
