@@ -80,11 +80,6 @@ class QuarticCurve:
             raise PolyError(f"a({i},{j},{k}) needs i+j+k = 4, all non-negative")
         return self._coeffs.get((i, j, k), Poly.zero())
 
-    @property
-    def parameters(self) -> frozenset:
-        """The parameters that occur in the terms: every variable but x, y, z."""
-        return self.poly.variables - set(XYZ)
-
     @cached_property
     def restriction(self) -> "LineRestriction":
         """line_restriction(self), cross-checked once per curve."""

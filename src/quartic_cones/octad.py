@@ -615,12 +615,11 @@ def steinerian_point(net: QuadricNet, q) -> Tuple[int, ...]:
     """Kernel generator of M(q) for q on the Hessian quartic, rank 3."""
     coords = point_coordinates(q, "P2")
     m = net.matrix_at(coords)
-    if det_fraction(m) != 0:
-        raise OctadError(f"{tuple(map(str, coords))} is not on the Hessian quartic")
-    rank = matrix_rank(m)
-    if rank <= 2:
-        raise CorankTooHigh(f"net matrix has rank {rank} <= 2 at the point")
     kernel = nullspace(m)
+    if not kernel:
+        raise OctadError(f"{tuple(map(str, coords))} is not on the Hessian quartic")
+    if len(kernel) >= 2:
+        raise CorankTooHigh(f"net matrix has rank {4 - len(kernel)} <= 2 at the point")
     point = tuple(clear_denominators(kernel[0]))
     if any(sum(m[i][k] * point[k] for k in range(4)) != 0 for i in range(4)):
         raise OctadError("kernel verification failed")  # pragma: no cover

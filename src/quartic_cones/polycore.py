@@ -42,12 +42,13 @@ determinants of polynomial matrices, Sylvester resultants, the resultant
 of three ternary forms with rational coefficients as one determinant of
 the hybrid Sylvester-Bezout matrix (Macaulay's classical quotient stays
 as its reference), perfect-square detection, and exact linear algebra
-over the rationals: the determinant and the rank (the same Bareiss
-elimination, on rows scaled to integers; the determinant is the kernel
-of every resultant certificate), rref for nullspace and inverse,
-matrix-vector products, and the congruence s^T m s that moves a
-quadratic form to new coordinates.  These matrix helpers are the
-package's only rational linear-algebra layer.
+over the rationals.  There the same Bareiss elimination, on rows scaled
+to integers, is the one elimination: it gives the determinant (the
+kernel of every resultant certificate), the rank, and the forward pass
+of the reduced row echelon form that nullspace and inverse read.
+Matrix-vector products and the congruence s^T m s that moves a
+quadratic form to new coordinates complete the set.  These matrix
+helpers are the package's only rational linear-algebra layer.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class Poly:
     @property
     def variables(self) -> frozenset:
         """The names that occur in the terms."""
-        return frozenset(name for mono in self.terms for name, _ in mono)
+        return frozenset({name for mono in self.terms for name, _ in mono})
 
     # -- constructors -------------------------------------------------
 
@@ -988,29 +989,26 @@ def det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    The forward pass is ``_bareiss`` on the rows scaled to integers, the
+    elimination behind ``det_fraction`` and ``matrix_rank``.  Each pivot
+    column is then cleared from the rows above in integers (cross-multiply,
+    divide by the row's gcd), and each pivot row becomes Fractions once,
+    divided by its pivot.  Zero rows stay at the bottom.
+    """
+    m = _integer_rows(rows)[0]
+    rank = _bareiss(m)[0]
+    pivots = [next(c for c, v in enumerate(row) if v) for row in m[:rank]]
+    for r, c in enumerate(pivots):
+        top = m[r]
+        for i in range(r):
+            if a := m[i][c]:
+                row = [top[c] * b - a * t for b, t in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [b // g for b in row]
+    return ([[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivots)]
+            + [[Fraction(0)] * len(row) for row in m[rank:]]), pivots
 
 
 def matrix_rank(rows) -> int:
@@ -1019,7 +1017,11 @@ def matrix_rank(rows) -> int:
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> list:
-    """Canonical basis of the right kernel, by back-substitution from rref."""
+    """Canonical basis of the right kernel, read off rref (one ``_bareiss`` elimination).
+
+    Each free column gives one vector: 1 there, minus the reduced rows'
+    entries of that column at the pivot columns, 0 elsewhere.
+    """
     if not rows:
         return []
     reduced, pivots = rref(rows)

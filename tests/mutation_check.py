@@ -63,6 +63,10 @@ MUTANTS = (
      "stray variables {sorted(extra)}\")\n", "", ("test_polycore.py",)),
     ("_bareiss: row swap keeps the sign", POLYCORE,
      "            sign = -sign\n", "", ("test_polycore.py", "test_oracles.py")),
+    ("rref: row 0 left unreduced", POLYCORE,
+     "        for i in range(r):\n", "        for i in range(1, r):\n", RESULTANT_TESTS),
+    ("rref: pivot rows not divided by their pivots", POLYCORE,
+     "[[Fraction(v, row[c]) for v in row]", "[[Fraction(v) for v in row]", RESULTANT_TESTS),
     ("_integer_rows: row scales not multiplied", POLYCORE,
      "        scale *= row_scale\n", "", ("test_polycore.py", "test_oracles.py")),
     ("_divide: remainder doubled", POLYCORE,
@@ -104,7 +108,7 @@ MUTANTS = (
     # the CLI's parametric verdict reads the input's identifiers, not the terms
     ("_load_quartic: parameters read from the terms", CLI,
      'return cov.QuarticCurve(poly), text, sorted(set(declared) - {"x", "y", "z"})',
-     'curve = cov.QuarticCurve(poly)\n    return curve, text, sorted(curve.parameters)',
+     'return cov.QuarticCurve(poly), text, sorted(poly.variables - {"x", "y", "z"})',
      ("test_cli_corpus.py",)),
 )
 

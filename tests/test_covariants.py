@@ -71,7 +71,7 @@ class TestQuarticCurve:
 
     def test_parameters_allowed(self):
         c = curve(S4, "x y z lambda")
-        assert c.parameters == {"lambda"}
+        assert c.poly.variables == {"x", "y", "z", "lambda"}
         assert c.a(2, 2, 0) == Poly.var("lambda")
 
 

@@ -1,7 +1,8 @@
 """Oracles for the exact kernel that do not run through it.
 
 ``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
-determinant, and the resultant of three ternary forms is checked against
+determinant, ``rref``, ``nullspace`` and ``inverse`` with SymPy's rref,
+rank and inverse, and the resultant of three ternary forms is checked against
 identities that hold for any correct kernel: homogeneity in each form,
 the transformation rule under a linear change of coordinates, the action
 of GL3 on a quartic's partials and on its covariants g4 and g6, and the
@@ -34,25 +35,39 @@ from quartic_cones.octad import QuadricNet, net_from_heptad
 from quartic_cones.polycore import (
     NotDivisibleError,
     Poly,
+    PolyError,
     PolyMatrix,
     det_fraction,
     exact_divide,
+    inverse,
     is_perfect_square,
     macaulay_quotient,
     macaulay_resultant_ternary,
+    mat_vec,
+    nullspace,
     rational_roots,
     resultant_bivariate,
+    rref,
     univariate_gcd,
 )
 
 from conftest import SEED1_HEPTADS, STANDARD_HEPTAD
+from test_polycore import deficient_matrices
+
+
+def sympy_matrix(rows):
+    sympy = pytest.importorskip("sympy")
+    n_cols = len(rows[0]) if rows else 0
+    return sympy.Matrix(len(rows), n_cols, [sympy.Rational(v.numerator, v.denominator)
+                                            for row in rows for v in row])
+
+
+def from_sympy(q):
+    return F(int(q.p), int(q.q))
 
 
 def sympy_det(rows):
-    sympy = pytest.importorskip("sympy")
-    d = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
-                      for row in rows]).det()
-    return F(int(d.p), int(d.q))
+    return from_sympy(sympy_matrix(rows).det())
 
 
 @st.composite
@@ -94,6 +109,44 @@ def test_det_fraction_seeded_36x36_matches_sympy():
 
 def test_det_fraction_empty_matrix():
     assert det_fraction([]) == 1
+
+
+# rref is the one elimination behind nullspace and inverse, so SymPy's
+# rref, rank and inverse are the references, not matrix_rank
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+@example([])
+@example([[], []])
+@example([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]])
+@example([[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]])
+@example([[F(2), F(4), F(1)], [F(3), F(6), F(5, 2)]])  # column 1 has no pivot
+def test_rref_and_nullspace_match_sympy(rows):
+    expected, expected_pivots = sympy_matrix(rows).rref()
+    reduced, pivots = rref(rows)
+    assert pivots == list(expected_pivots)
+    assert reduced == [[from_sympy(v) for v in expected.row(i)] for i in range(len(rows))]
+    basis = nullspace(rows)
+    n_cols = len(rows[0]) if rows else 0
+    assert len(basis) == n_cols - sympy_matrix(rows).rank()
+    assert all(v == 0 for vec in basis for v in mat_vec(rows, vec))
+    assert sympy_matrix(basis).rank() == len(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+@example([[F(0), F(-2)], [F(3, 2), F(5)]])
+@example([[F(1), F(2), F(3)], [F(2), F(4), F(-7)], [F(-1, 3), F(0), F(1)]])
+@example([[F(1, 2), F(-1, 3)], [F(0), F(0)]])
+def test_inverse_matches_sympy(rows):
+    m = sympy_matrix(rows)
+    if m.det() == 0:
+        with pytest.raises(PolyError):
+            inverse(rows)
+    else:
+        expected = m.inv()
+        assert inverse(rows) == [[from_sympy(v) for v in expected.row(i)]
+                                 for i in range(len(rows))]
 
 
 def to_sympy(p):
