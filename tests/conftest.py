@@ -1,6 +1,4 @@
-import os
 import random
-import types
 
 import pytest
 from hypothesis import settings
@@ -40,23 +38,6 @@ SEED1_HEPTADS = {
     2: SIMPLEX + [(4, -2, -4, -6), (-1, 4, -3, 1), (-7, 1, -8, 5)],
     4: SIMPLEX + [(-2, 4, -3, -1), (4, -6, 6, -3), (4, 6, 2, 5)],
 }
-
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
-
-
-def load_perfbench(name):
-    """perfbench/<name>.py as a fresh module, read only.
-
-    It is run by exec instead of imported, so no bytecode is written
-    into perfbench/.
-    """
-    path = os.path.join(PERFBENCH, f"{name}.py")
-    module = types.ModuleType(f"perfbench_{name}")
-    with open(path) as handle:
-        exec(compile(handle.read(), path, "exec"), module.__dict__)
-    return module
 
 
 def P(text, names="x y z s t u"):

@@ -9,17 +9,29 @@ eighth_point an rng and a check.  These tests only read perfbench/.
 """
 
 import inspect
+import os
+import types
 
 import pytest
 
 from quartic_cones import cli, octad, polycore, theta
 
-from conftest import load_perfbench
 from make_cli_corpus import FILES
+
+TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "tracer.py")
+
+
+def load_tracer():
+    # exec instead of import, so no bytecode is written into perfbench/
+    module = types.ModuleType("perfbench_tracer")
+    with open(TRACER_PATH) as handle:
+        exec(compile(handle.read(), TRACER_PATH, "exec"), module.__dict__)
+    return module
 
 
 def test_every_spanned_name_exists():
-    tracer = load_perfbench("tracer")
+    tracer = load_tracer()
     spans = tracer.Tracer()
     try:
         spans.install()  # a spanned name that is gone raises here
@@ -37,7 +49,7 @@ def test_scalar_certificate_runs_through_a_spanned_name():
     # a certificate with rational coefficients must show up as det_fraction
     # spans (the hybrid matrix and its x^3, y^3, z^3 normalisation), not as
     # polynomial Bareiss or a private alias
-    tracer = load_perfbench("tracer")
+    tracer = load_tracer()
     spans = tracer.Tracer()
     x, y, z = (polycore.Poly.var(n) for n in "xyz")
     try:
@@ -55,7 +67,7 @@ def test_covariants_run_counts_products_and_public_constructions(capsys, tmp_pat
     # constructed; perfbench/selftest.py asserts that count stays positive
     path = tmp_path / "klein.txt"
     path.write_text("x^3*y + y^3*z + z^3*x\n")
-    tracer = load_perfbench("tracer")
+    tracer = load_tracer()
     spans = tracer.Tracer()
     try:
         spans.install()
@@ -84,7 +96,7 @@ def test_pencil_run_keeps_its_product_and_construction_counts(capsys, tmp_path):
     """
     path = tmp_path / "pencil.txt"
     path.write_text(FILES["pencil.txt"])
-    tracer = load_perfbench("tracer")
+    tracer = load_tracer()
     spans = tracer.Tracer()
     try:
         spans.install()
