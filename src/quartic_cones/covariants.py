@@ -12,6 +12,14 @@ and degree-6 covariants g4 and g6 on the dual plane.  The degree-12 form
 is the j-invariant of the quadruple of points the line cuts on the
 quartic.  Coefficients of the quartic may contain extra parameter
 variables; everything downstream stays exact and polynomial in them.
+
+The products of the chain run on packed integers (polycore's ``pack``):
+b0..b4 are packed once, ``binary_invariants`` forms h2 and h3 on the
+packed values, and only h2 and h3 are unpacked for the divisions by u^4
+and u^6; g4 and g6 are packed once more for the dual curve, which is
+unpacked once.  Each layout's degree bound is sized for the chain's
+highest power (b cubed, g4 cubed and g6 squared), and a product past it
+raises instead of carrying between bit fields.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .polycore import (
     PolyError,
     coefficients_multi,
     exact_divide,
+    pack,
 )
 from .polyio import point_coordinates
 from .record import record
@@ -172,7 +181,8 @@ def line_restriction(curve: QuarticCurve) -> LineRestriction:
 def binary_invariants(b: Sequence) -> Tuple:
     """The two invariants (h2, h3) of a binary quartic b0 x^4 + ... + b4 y^4.
 
-    Works over polynomials or plain rationals.  Normalized so that
+    Works over polynomials, packed polynomials or plain rationals.
+    Normalized so that
     j = 1728 * 4*h2^3 / (4*h2^3 - 27*h3^2), and the denominator is
     exactly the discriminant of the binary quartic.
     """
@@ -184,15 +194,25 @@ def binary_invariants(b: Sequence) -> Tuple:
 
 
 def covariants(curve: QuarticCurve) -> CovariantPair:
-    """The degree-4 and degree-6 covariants: h2 = u^4 g4, h3 = u^6 g6."""
-    h2, h3 = binary_invariants(tuple(curve.restriction))
+    """The degree-4 and degree-6 covariants: h2 = u^4 g4, h3 = u^6 g6.
+
+    b0..b4 are packed once, under a degree bound of 3 deg b (h3 is cubic
+    in b), ``binary_invariants`` runs on the packed values, and h2 and h3
+    are unpacked once each before the exact divisions.
+    """
+    h2, h3 = binary_invariants(pack(curve.restriction.b, lambda degs: 3 * max(degs)))
     u = Poly.var("u")
-    return CovariantPair(exact_divide(h2, u ** 4), exact_divide(h3, u ** 6))
+    return CovariantPair(exact_divide(h2.unpack(), u ** 4), exact_divide(h3.unpack(), u ** 6))
 
 
 def dual_curve(pair: CovariantPair) -> DualCurve:
-    """Degree-12 dual curve G = 4 g4^3 - 27 g6^2."""
-    return DualCurve(4 * pair.g4 ** 3 - 27 * pair.g6 ** 2)
+    """Degree-12 dual curve G = 4 g4^3 - 27 g6^2.
+
+    g4 and g6 are packed once, under a degree bound that holds both g4^3
+    and g6^2, and G is unpacked once.
+    """
+    g4, g6 = pack([pair.g4, pair.g6], lambda degs: max(3 * degs[0], 2 * degs[1]))
+    return DualCurve((4 * g4 ** 3 - 27 * g6 ** 2).unpack())
 
 
 def dual_values(pair: CovariantPair, point) -> Tuple[Fraction, Fraction, Fraction]:

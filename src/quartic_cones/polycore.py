@@ -16,16 +16,22 @@ whose results are clean by construction (sums, negation, products,
 scalar division, derivatives, substitution, exact quotients) build them
 through the trusted ``Poly._make``, which checks and copies nothing.
 
-Products pack exponents only for the duration of one multiplication
-(Monagan and Pearce 2007).  Each variable of the operands' terms gets a bit
-field wide enough for the sum of the operands' total degrees, so every
-monomial becomes one int and a monomial product is one int addition that
-never carries.  Coefficients become integer numerators over one common
-denominator per operand, so the inner loop is integer arithmetic; each
-output key is decoded once to its monomial, and each output coefficient
-is one normalised Fraction.  When an operand has at most one term, the
-products of distinct monomials are distinct and nothing is collected, so
-the terms are multiplied directly without packing.
+Products run on packed exponent vectors (Monagan and Pearce 2007), and
+a chain of products can stay packed from its inputs to its result.
+``pack`` puts several polynomials under one layout: each variable gets a
+bit field wide enough for a degree bound taken from the inputs' degrees,
+so every monomial becomes one int, and each ``Packed`` value holds
+integer numerators over one denominator.  Sums, scalar multiples,
+products and powers of packed values are integer arithmetic, and a
+product whose degree could pass the bound raises DegreeError instead of
+carrying into the next field.  ``unpack`` decodes each key once to its
+monomial and makes each coefficient one normalised Fraction.  A Poly
+product is the one-step chain: both operands packed under the sum of
+their degrees, multiplied, unpacked.  When an operand has at most one
+term, the products of distinct monomials are distinct and nothing is
+collected, so the terms are multiplied directly without packing.  The
+covariant chain (b to h2, h3 and g4, g6 to the dual curve) packs its
+inputs once and unpacks only what it returns.
 
 Long division has one loop, ``_divide``, which ``exact_divide`` and the
 Euclidean ``univariate_gcd`` share.  A univariate polynomial is a Poly
@@ -99,17 +105,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
-
-
-def _packed_terms(terms: Mapping[Mono, Fraction], shifts: Mapping[str, int]):
-    """(d, [(key, n), ...]): each monomial packed into one int, each coefficient n/d.
-
-    A variable's exponent sits at its bit offset in ``shifts``, and d is
-    the lcm of the denominators.
-    """
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(sum(e << shifts[name] for name, e in m), c.numerator * (d // c.denominator))
-               for m, c in terms.items()]
 
 
 def _mono_div(a: Mono, b: Mono) -> Optional[Mono]:
@@ -265,24 +260,8 @@ class Poly:
             return Poly._make({_mono_mul(m1, m2): c1 * c2
                                for m1, c1 in self.terms.items()
                                for m2, c2 in q.terms.items()})
-        # packed exponents: a field of this width holds any exponent of the
-        # product, so adding two keys multiplies their monomials
-        width = (max(map(_mono_degree, self.terms))
-                 + max(map(_mono_degree, q.terms))).bit_length()
-        fields = [(name, i * width)
-                  for i, name in enumerate(sorted(self.variables | q.variables))]
-        shifts = dict(fields)
-        d1, a = _packed_terms(self.terms, shifts)
-        d2, b = _packed_terms(q.terms, shifts)
-        acc: Dict[int, int] = {}
-        for k1, n1 in a:
-            for k2, n2 in b:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + n1 * n2
-        d = d1 * d2
-        mask = (1 << width) - 1
-        return Poly._make({tuple((name, e) for name, s in fields if (e := k >> s & mask)):
-                           Fraction(n, d) for k, n in acc.items() if n})
+        a, b = pack([self, q], sum)
+        return (a * b).unpack()
 
     __rmul__ = __mul__
 
@@ -301,16 +280,7 @@ class Poly:
         return self / other
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise PolyError("exponent must be a non-negative integer")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.const(1))
 
     def __eq__(self, other):
         q = Poly._coerce(other)
@@ -386,6 +356,116 @@ class Poly:
         return total
 
 
+def _power(base, n, one):
+    """base ** n by repeated squaring from ``one``; the base is never raised past n."""
+    if not isinstance(n, int) or n < 0:
+        raise PolyError("exponent must be a non-negative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def pack(polys: Sequence[Poly], bound, names: Sequence[str] = ()) -> list:
+    """The polys as Packed values under one layout.
+
+    ``bound`` maps the list of the polys' total degrees to the layout's
+    degree bound D.  Each variable of the polys (and of ``names``), in
+    alphabetical order, gets a field of D.bit_length() bits, and a poly
+    of degree above D raises DegreeError.
+    """
+    degrees = [max([sum([e for _, e in m]) for m in p.terms], default=0) for p in polys]
+    top = bound(degrees)
+    if max(degrees) > top:
+        raise DegreeError("a poly passes the layout's degree bound")
+    width = top.bit_length()
+    shifts = {name: i * width for i, name in
+              enumerate(sorted({n for p in polys for m in p.terms for n, _ in m}.union(names)))}
+    layout = (tuple(shifts.items()), top)
+    out = []
+    for p, degree in zip(polys, degrees):
+        d = lcm(*[c.denominator for c in p.terms.values()])
+        out.append(Packed(layout, {sum([e << shifts[name] for name, e in m]):
+                                   c.numerator * (d // c.denominator)
+                                   for m, c in p.terms.items()}, d, degree))
+    return out
+
+
+class Packed:
+    """A polynomial under a packed-exponent layout shared by a chain of operations.
+
+    Built by ``pack``.  ``terms`` maps each monomial, packed into one int,
+    to an integer numerator over the one denominator ``den``, so a monomial
+    product is one int addition and the ring operations are integer
+    arithmetic.  ``degree`` bounds the total degree of the terms; a product
+    whose bound would pass the layout's raises DegreeError, so a field
+    never carries into the next.  Values of different layouts do not mix.
+    """
+
+    __slots__ = ("layout", "terms", "den", "degree")
+
+    def __init__(self, layout, terms, den, degree):
+        self.layout, self.terms, self.den, self.degree = layout, terms, den, degree
+
+    def _coerce(self, other) -> "Packed":
+        if isinstance(other, Scalar):
+            c = Fraction(other)
+            return Packed(self.layout, {0: c.numerator} if c else {}, c.denominator, 0)
+        if isinstance(other, Packed) and other.layout == self.layout:
+            return other
+        return NotImplemented
+
+    def __sub__(self, other):
+        q = self._coerce(other)
+        if q is NotImplemented:
+            return NotImplemented
+        d = lcm(self.den, q.den)
+        out = {k: n * (d // self.den) for k, n in self.terms.items()}
+        _subtract_terms(out, [(k, n * (d // q.den)) for k, n in q.terms.items()])
+        return Packed(self.layout, out, d, max(self.degree, q.degree))
+
+    def __add__(self, other):
+        q = self._coerce(other)
+        return NotImplemented if q is NotImplemented else self - -q
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Packed(self.layout, {k: -n for k, n in self.terms.items()}, self.den, self.degree)
+
+    def __mul__(self, other):
+        q = self._coerce(other)
+        if q is NotImplemented:
+            return NotImplemented
+        degree = self.degree + q.degree
+        if degree > self.layout[1]:
+            raise DegreeError("a product passes the layout's degree bound")
+        acc = {}
+        for k1, n1 in self.terms.items():
+            for k2, n2 in q.terms.items():
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + n1 * n2
+        for k in [k for k, n in acc.items() if not n]:
+            del acc[k]
+        return Packed(self.layout, acc, self.den * q.den, degree)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        return _power(self, n, Packed(self.layout, {0: 1}, 1, 0))
+
+    def unpack(self) -> Poly:
+        """The Poly: each key decoded once, each coefficient one normalised Fraction."""
+        fields, top = self.layout
+        mask = (1 << top.bit_length()) - 1
+        d = self.den
+        return Poly._make({tuple([(name, e) for name, s in fields if (e := k >> s & mask)]):
+                           Fraction(n, d) for k, n in self.terms.items()})
+
+
 def format_poly(p: Poly) -> str:
     """Canonical text form: graded-lex descending terms, normalized signs.
 
@@ -408,8 +488,11 @@ def format_poly(p: Poly) -> str:
     return " ".join(pieces)
 
 
-def _subtract_terms(rem: Dict[Mono, Fraction], terms) -> None:
-    """rem -= terms, in place: ``terms`` are (monomial, nonzero coefficient) pairs."""
+def _subtract_terms(rem: dict, terms) -> None:
+    """rem -= terms, in place: ``terms`` are (monomial, nonzero coefficient) pairs.
+
+    The monomials may also be packed keys, with integer numerators.
+    """
     for mono, v in terms:
         if s := rem.get(mono, 0) - v:
             rem[mono] = s
@@ -717,16 +800,16 @@ def _bezoutian_rows(forms, d, index):
     The row of y^m (grlex-descending) holds the coefficient of y^m x^c in
     column ``index[c]``, divided by the product of the scales.
     """
-    w = (3 * d).bit_length()  # a field holds any exponent of the degree 3d - 3 Bezoutian
+    # pack's fields for the bound 3d: each holds any exponent of the degree 3d - 3 Bezoutian
+    w = (3 * d).bit_length()
     top = 6 * w
     xs = [1 << i * w for i in range(3)]
     ys = [u << 3 * w | 1 << top for u in xs]  # y_i, and one more in the y-degree
     scale, delta = 1, []
-    for f in forms:
-        s, terms = _packed_terms(f.terms, {v: i * w for i, v in enumerate(TERNARY_VARIABLES)})
-        scale *= s
+    for f in pack(forms, lambda _: 3 * d, TERNARY_VARIABLES):
+        scale *= f.den
         entries = [{}, {}, {}]
-        for key, n in terms:
+        for key, n in f.terms.items():
             # key runs through y_<j^a * x_>=j^a: delta_ij's terms are
             # y_<j^a * x_j^k * y_j^(a_j-1-k) * x_>j^a for k < a_j
             for j, (u, v) in enumerate(zip(xs, ys)):
@@ -912,8 +995,9 @@ def rational_roots(p: Poly, var: str) -> Optional[list]:
     if not _univariate(p, var):
         raise PolyError("zero polynomial has every root")
     # integer coefficients over the lcm of the denominators, lowest degree first
-    ints = [0] * (p.degree_in(var) + 1)
-    for e, n in _packed_terms(p.terms, {var: 0})[1]:
+    packed, = pack([p], max)
+    ints = [0] * (packed.degree + 1)
+    for e, n in packed.terms.items():
         ints[e] = n
     content = gcd(*ints)
     ints = [c // content for c in ints]

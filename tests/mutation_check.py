@@ -45,7 +45,7 @@ MUTANTS = (
     ("resultant: y-prefix of delta dropped", POLYCORE,
      "                key += a * v\n", "", RESULTANT_TESTS),
     ("resultant: integer scale dropped", POLYCORE,
-     "        scale *= s\n", "", RESULTANT_TESTS),
+     "        scale *= f.den\n", "", RESULTANT_TESTS),
     ("resultant: permutation sign dropped", POLYCORE,
      "times(second[p], third[q], {}), -1)", "times(second[p], third[q], {}), 1)",
      RESULTANT_TESTS),
@@ -61,6 +61,17 @@ MUTANTS = (
     ("resultant: stray variables not rejected", POLYCORE,
      "        if extra:\n            raise PolyError(f\"coefficients must be rational; "
      "stray variables {sorted(extra)}\")\n", "", ("test_polycore.py",)),
+    # the packed form and the covariant chain on it
+    ("Packed: product degree guard dropped", POLYCORE,
+     "        if degree > self.layout[1]:\n"
+     "            raise DegreeError(\"a product passes the layout's degree bound\")\n", "",
+     ("test_polycore.py",)),
+    ("Packed: a product's denominators not multiplied", POLYCORE,
+     "self.den * q.den, degree)", "self.den, degree)",
+     ("test_polycore.py", "test_covariants.py")),
+    ("dual_curve: bound sized 2 deg", COVARIANTS,
+     "lambda degs: max(3 * degs[0], 2 * degs[1])", "lambda degs: 2 * max(degs)",
+     ("test_covariants.py",)),
     ("_bareiss: row swap keeps the sign", POLYCORE,
      "            sign = -sign\n", "", ("test_polycore.py", "test_oracles.py")),
     ("rref: row 0 left unreduced", POLYCORE,

@@ -222,6 +222,47 @@ class TestDualCurve:
         assert dual_curve(pair).G == 4 * pair.g4 ** 3 - 27 * pair.g6 ** 2
 
 
+def random_pencil(rng):
+    """Q0 + a*Q1 + b*Q2 with a few terms each and coefficients such as -7/4."""
+    monos = [(("x", i), ("y", j), ("z", 4 - i - j)) for i in range(5) for j in range(5 - i)]
+    total = Poly.zero()
+    for param in (None, "a", "b"):
+        form = Poly({tuple((n, e) for n, e in m if e):
+                     F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                     for m in rng.sample(monos, 4)})
+        total = total + (form if param is None else Poly.var(param) * form)
+    return QuarticCurve(total)
+
+
+class TestPackedChain:
+    """covariants() and dual_curve() run packed; the Poly route is the reference."""
+
+    def test_pencils_with_fractional_coefficients_match_the_poly_route(self):
+        rng = random.Random(27)
+        u = Poly.var("u")
+        for _ in range(4):
+            c = random_pencil(rng)
+            assert {"a", "b"} <= c.poly.variables
+            h2, h3 = binary_invariants(c.restriction.b)
+            pair = covariants(c)
+            assert pair.g4 == exact_divide(h2, u ** 4)
+            assert pair.g6 == exact_divide(h3, u ** 6)
+            assert any(v.denominator != 1 for v in pair.g6.terms.values())
+            assert dual_curve(pair).G == 4 * pair.g4 ** 3 - 27 * pair.g6 ** 2
+
+    @pytest.mark.parametrize("g4, g6", [
+        ("s^4 + 1/2*t^2*u^2", "0"),
+        ("a^3*s^4 - t*u^3", "2/3*s^3*t^3"),
+        ("0", "s^6 - 5/3*a*t^2*u^4"),
+        ("s*t", "u^5 + 3"),
+    ])
+    def test_dual_curve_sizes_its_bound_for_both_powers(self, g4, g6):
+        # the bound must hold g4^3 and g6^2, whichever has the higher degree
+        names = "s t u a".split()
+        pair = CovariantPair(parse_poly(g4, names), parse_poly(g6, names))
+        assert dual_curve(pair).G == 4 * pair.g4 ** 3 - 27 * pair.g6 ** 2
+
+
 class TestJEval:
     def test_equianharmonic_zero(self):
         pair = CovariantPair(P("s^4 - t^4"), P("u^6"))

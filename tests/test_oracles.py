@@ -1,8 +1,8 @@
 """Oracles for the exact kernel that do not run through it.
 
 ``det_fraction`` and ``PolyMatrix.det_bareiss`` are compared with SymPy's
-determinant, ``rref``, ``nullspace`` and ``inverse`` with SymPy's rref,
-rank and inverse, and the resultant of three ternary forms is checked against
+determinant, ``rref``, ``nullspace``, ``inverse`` and ``matrix_rank`` with
+SymPy's rref, rank and inverse, and the resultant of three ternary forms is checked against
 identities that hold for any correct kernel: homogeneity in each form,
 the transformation rule under a linear change of coordinates, the action
 of GL3 on a quartic's partials and on its covariants g4 and g6, and the
@@ -44,6 +44,7 @@ from quartic_cones.polycore import (
     macaulay_quotient,
     macaulay_resultant_ternary,
     mat_vec,
+    matrix_rank,
     nullspace,
     rational_roots,
     resultant_bivariate,
@@ -111,8 +112,9 @@ def test_det_fraction_empty_matrix():
     assert det_fraction([]) == 1
 
 
-# rref is the one elimination behind nullspace and inverse, so SymPy's
-# rref, rank and inverse are the references, not matrix_rank
+# rref is the one elimination behind nullspace and inverse, and _bareiss
+# behind both rref and matrix_rank, so SymPy's rref, rank and inverse are
+# the references
 
 @settings(max_examples=100, deadline=None)
 @given(deficient_matrices())
@@ -124,6 +126,7 @@ def test_det_fraction_empty_matrix():
 def test_rref_and_nullspace_match_sympy(rows):
     expected, expected_pivots = sympy_matrix(rows).rref()
     reduced, pivots = rref(rows)
+    assert matrix_rank(rows) == sympy_matrix(rows).rank()
     assert pivots == list(expected_pivots)
     assert reduced == [[from_sympy(v) for v in expected.row(i)] for i in range(len(rows))]
     basis = nullspace(rows)

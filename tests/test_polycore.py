@@ -33,6 +33,7 @@ from quartic_cones.polycore import (
     mat_vec,
     matrix_rank,
     nullspace,
+    pack,
     rational_roots,
     rational_sqrt,
     resultant_bivariate,
@@ -519,16 +520,6 @@ def deficient_matrices(draw):
     return m
 
 
-@settings(max_examples=100, deadline=None)
-@given(deficient_matrices())
-@example([])
-@example([[], []])
-@example([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]])
-@example([[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]])
-def test_rank_matches_rref(rows):
-    assert matrix_rank(rows) == len(rref(rows)[1])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 3), st.integers(0, 3)),
                 max_size=5))
@@ -755,6 +746,61 @@ def test_products_match_fraction_reference_at_field_boundaries(pair):
     for result, expected in ((p * q, ref_mul(ra, rb)), (q * p, ref_mul(rb, ra))):
         assert_clean(result)
         assert result.terms == expected
+
+
+# -- the packed form: a chain of operations under one layout ------------------
+# pack() puts several polys under one bit-field layout; the differential test
+# runs the same expressions on the packed values and on the Polys.
+
+CHAIN_VARS = ("a", "b", "s", "t", "u")
+
+
+@st.composite
+def chain_operands(draw):
+    """Two polys over the dual-plane variables and two parameters, rational coefficients."""
+    names = sorted(draw(st.sets(st.sampled_from(CHAIN_VARS), max_size=4)))
+    exps = st.tuples(*[st.integers(0, 3) for _ in names])
+    terms = [draw(st.dictionaries(exps, ref_coefficients, max_size=5)) for _ in range(2)]
+    return [Poly({tuple((n, e) for n, e in zip(names, ex) if e): c for ex, c in t.items()})
+            for t in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_operands(), ref_coefficients, st.integers(0, 3))
+@example([Poly({(("a", 1), ("s", 2)): F(1, 2), (): F(-3)}), Poly({(("a", 1), ("s", 2)): F(-1, 2)})],
+         F(0), 3)
+def test_packed_chain_matches_poly_arithmetic(operands, c, n):
+    f, g = operands
+    pf, pg = pack(operands, lambda degs: 3 * max(degs))
+    for packed, expected in ((pf + pg, f + g), (pf - pg, f - g), (-pf, -f),
+                             (c * pf, c * f), (pf * 2, f * 2), (pf + c, f + c),
+                             (pf * pg, f * g), (pf ** n, f ** n), (pg ** 3, g ** 3),
+                             (c * pf * pg - 27 * pg * pg + 1, c * f * g - 27 * g * g + 1)):
+        result = packed.unpack()
+        assert_clean(result)
+        assert result == expected
+        assert packed.degree >= max((sum(e for _, e in m) for m in result.terms), default=0)
+
+
+def test_packed_product_past_the_degree_bound_raises():
+    # bound 7: three bits per field, so x^8 would carry into y's field as y
+    p, q = pack([x ** 4 + y, x ** 3], lambda degs: 7)
+    assert (p * q).unpack() == x ** 7 + x ** 3 * y
+    with pytest.raises(DegreeError):
+        p * p
+    with pytest.raises(DegreeError):
+        q ** 3
+    with pytest.raises(DegreeError):
+        pack([x ** 4 + y], lambda degs: 3)
+
+
+def test_packed_values_of_two_layouts_do_not_mix():
+    p, = pack([x + y], sum)
+    q, = pack([x + z], sum)
+    with pytest.raises(TypeError):
+        p + q
+    with pytest.raises(TypeError):
+        p * (x + y)
 
 
 class TestPickle:
