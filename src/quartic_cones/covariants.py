@@ -182,9 +182,8 @@ def binary_invariants(b: Sequence) -> Tuple:
     """The two invariants (h2, h3) of a binary quartic b0 x^4 + ... + b4 y^4.
 
     Works over polynomials, packed polynomials or plain rationals.
-    Normalized so that
-    j = 1728 * 4*h2^3 / (4*h2^3 - 27*h3^2), and the denominator is
-    exactly the discriminant of the binary quartic.
+    Normalized so that j = 1728 * 4*h2^3 / (4*h2^3 - 27*h3^2), and the
+    denominator is exactly the discriminant of the binary quartic.
     """
     b0, b1, b2, b3, b4 = b
     h2 = (-3 * b1 * b3 + 12 * b0 * b4 + b2 * b2) * Fraction(1, 3)

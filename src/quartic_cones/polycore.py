@@ -377,11 +377,12 @@ def pack(polys: Sequence[Poly], bound, names: Sequence[str] = ()) -> list:
     alphabetical order, gets a field of D.bit_length() bits, and a poly
     of degree above D raises DegreeError.
     """
-    degrees = [max([sum([e for _, e in m]) for m in p.terms], default=0) for p in polys]
+    degrees = [max(map(_mono_degree, p.terms), default=0) for p in polys]
     top = bound(degrees)
     if max(degrees) > top:
         raise DegreeError("a poly passes the layout's degree bound")
     width = top.bit_length()
+    # the names read in one pass over the terms: cheaper than each poly's variables
     shifts = {name: i * width for i, name in
               enumerate(sorted({n for p in polys for m in p.terms for n, _ in m}.union(names)))}
     layout = (tuple(shifts.items()), top)
