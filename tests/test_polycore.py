@@ -520,6 +520,16 @@ def deficient_matrices(draw):
     return m
 
 
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+@example([])
+@example([[], []])
+@example([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]])
+@example([[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]])
+def test_rank_matches_rref(rows):
+    assert matrix_rank(rows) == len(rref(rows)[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 3), st.integers(0, 3)),
                 max_size=5))
